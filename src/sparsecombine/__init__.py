@@ -12,9 +12,7 @@ from .grid import (
     LevelIndex,
     Point,
     enumerate_nodes,
-    mesh_widths,
     multilinear_eval,
-    refine,
 )
 from .pde import (
     DegenerateGridError,
@@ -34,20 +32,18 @@ from .combine import (
     EvaluationResult,
     GridCache,
     PlanEvaluationError,
-    Rational,
     default_eval_point,
     evaluate_plan,
     extrapolation_plan,
     extrapolation_weights,
     hierarchical_surplus_study,
     ho_plan,
+    method_plan,
     observed_order,
     per_level_mass,
     plan_dof,
     plan_to_dict,
     projected_dof_total,
-    richardson_full,
-    splitting_extrapolation_2d,
     standard_plan,
     surplus_order,
 )
@@ -73,8 +69,6 @@ __all__ = [
     "LevelIndex",
     "GridFunction",
     "Point",
-    "mesh_widths",
-    "refine",
     "enumerate_nodes",
     "multilinear_eval",
     # pde
@@ -86,7 +80,6 @@ __all__ = [
     "solve_poisson",
     "apply_operator",
     # combine
-    "Rational",
     "CombinationPlan",
     "EvaluationResult",
     "ConvergenceRecord",
@@ -99,10 +92,9 @@ __all__ = [
     "extrapolation_weights",
     "extrapolation_plan",
     "ho_plan",
+    "method_plan",
     "evaluate_plan",
     "hierarchical_surplus_study",
-    "richardson_full",
-    "splitting_extrapolation_2d",
     "plan_dof",
     "per_level_mass",
     "plan_to_dict",

@@ -20,8 +20,6 @@ __all__ = [
     "LevelIndex",
     "GridFunction",
     "Point",
-    "mesh_widths",
-    "refine",
     "enumerate_nodes",
     "multilinear_eval",
 ]
@@ -86,16 +84,6 @@ class LevelIndex(tuple):
 
     def __repr__(self) -> str:
         return f"LevelIndex{tuple(self)!r}"
-
-
-def mesh_widths(level: Iterable[int]) -> tuple[float, ...]:
-    """Mesh widths (2**-l_0, ..., 2**-l_{d-1}) of the grid at ``level``."""
-    return LevelIndex(level).mesh_widths()
-
-
-def refine(level: Iterable[int], directions: Iterable[int] = ()) -> LevelIndex:
-    """Return ``level`` bisected in the given 0-based ``directions``."""
-    return LevelIndex(level).refine(directions)
 
 
 class GridFunction:

@@ -20,10 +20,11 @@ terms.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -291,8 +292,6 @@ def random_expansion(d: int, seed: int) -> SyntheticExpansion:
     cannot degenerate to zero. ``gamma_bound`` is set to the certified sup of
     the generated gammas.
     """
-    import math
-
     rng = random.Random(seed)
     base_c0 = rng.uniform(-1.0, 1.0)
     base_c = [rng.uniform(-1.0, 1.0) for _ in range(d)]
@@ -318,7 +317,7 @@ def random_expansion(d: int, seed: int) -> SyntheticExpansion:
     subsets = [
         tuple(sorted(s))
         for k in range(1, d + 1)
-        for s in _subsets_of_size(d, k)
+        for s in combinations(range(d), k)
     ]
     for subset in subsets:
         amp = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
@@ -341,12 +340,6 @@ def random_expansion(d: int, seed: int) -> SyntheticExpansion:
     return SyntheticExpansion(
         dim=d, base=base, beta=beta, gamma=gamma, gamma_bound=1.5 * max_amp
     )
-
-
-def _subsets_of_size(d: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(d), k)
 
 
 def check_hosg_vs_bl_export(d: int, n: int) -> bool:

@@ -152,7 +152,21 @@ def weights_by_elimination(d: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Literal double-sum evaluation of the higher-order combination
+# Higher-order combination: accumulated coefficients and literal double sum
+
+
+def ho_plan_by_accumulation(d: int, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Extrapolate every grid of the classical plan, sum the coefficients per
+    level, and drop exact zeros: the higher-order plan built term by term."""
+    a = standard_coeffs(d)
+    alpha = weights_by_elimination(d)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for i in range(d):
+        for base in compositions(n + i, d):
+            for bits in product((0, 1), repeat=d):
+                refined = tuple(v + b for v, b in zip(base, bits))
+                acc[refined] = acc.get(refined, Fraction(0)) + a[i] * alpha[sum(bits)]
+    return {lv: c for lv, c in acc.items() if c != 0}
 
 
 def compositions(total: int, parts: int):

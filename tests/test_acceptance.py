@@ -20,8 +20,8 @@ from sparsecombine.combine import (
     default_eval_point,
     hierarchical_surplus_study,
     ho_plan,
+    method_plan,
     observed_order,
-    splitting_extrapolation_2d,
     surplus_order,
 )
 from sparsecombine.grid import LevelIndex
@@ -295,7 +295,7 @@ def test_c10_splitting_extrapolation_fourth_order():
     cache = GridCache()
     errs = []
     for l in range(4, 9):
-        val = splitting_extrapolation_2d(p, (l, l), x, cache=cache)
+        val = evaluate_plan(p, method_plan("SPLIT2D", 2, l, level_shift=0), x, cache).value
         errs.append((l, abs(val - p.exact(x))))
     order = observed_order(errs)
     ok = 3.5 <= order <= 4.5

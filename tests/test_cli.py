@@ -117,6 +117,18 @@ def test_study_budget_exit_and_partial_records(tmp_path):
     assert [r["method"] for r in rows] == ["SG"] * len(rows)
 
 
+@pytest.mark.parametrize("method", ["SG", "HOSG"])
+def test_study_deep_dimension_budget_guard(method, tmp_path, capsys):
+    out = tmp_path / "deep.csv"
+    code = run_main(
+        ["study", "--method", method, "--dim", "400", "--n-max", "1", "--out", str(out)]
+    )
+    assert code == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "budget guard" in err
+    assert "Traceback" not in err
+
+
 def test_study_budget_env_var(tmp_path, monkeypatch):
     out = tmp_path / "env.csv"
     monkeypatch.setenv(BUDGET_ENV_VAR, "4000")

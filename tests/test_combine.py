@@ -17,20 +17,24 @@ from sparsecombine.combine import (
     extrapolation_weights,
     hierarchical_surplus_study,
     ho_plan,
+    method_plan,
     observed_order,
     per_level_mass,
     plan_dof,
     plan_to_dict,
     projected_dof_total,
-    richardson_full,
-    splitting_extrapolation_2d,
     standard_plan,
     surplus_order,
 )
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import ProblemSpec, builtin_sine_problem, solve_poisson
 
-from oracles import standard_coeffs, union_node_count, weights_by_elimination
+from oracles import (
+    ho_plan_by_accumulation,
+    standard_coeffs,
+    union_node_count,
+    weights_by_elimination,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,12 @@ def test_ho_plan_1d_is_two_grid_extrapolation():
     }
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ho_plan_matches_accumulation_oracle(d):
+    for n in range(1, 7):
+        assert dict(ho_plan(d, n).terms) == ho_plan_by_accumulation(d, n), n
+
+
 def test_ho_plan_rejects_n_zero():
     with pytest.raises(ValueError):
         ho_plan(2, 0)
@@ -278,17 +288,13 @@ def test_plan_dof_monotone_in_n():
     ],
 )
 def test_projected_dof_exact_for_closed_form_methods(method, d, n):
-    from sparsecombine.combine import _method_plan
-
-    plan = _method_plan(method, d, n, level_shift=1)
+    plan = method_plan(method, d, n, level_shift=1)
     assert projected_dof_total(method, d, n, level_shift=1) == plan_dof(plan)[1]
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 2), (3, 4)])
 def test_projected_dof_upper_bounds_hosg(d, n):
-    from sparsecombine.combine import _method_plan
-
-    plan = _method_plan("HOSG", d, n, level_shift=1)
+    plan = method_plan("HOSG", d, n, level_shift=1)
     built = plan_dof(plan)[1]
     projected = projected_dof_total("HOSG", d, n, level_shift=1)
     assert projected >= built
@@ -438,18 +444,16 @@ def test_combined_interpolation_of_exact_solution():
 
 
 # ---------------------------------------------------------------------------
-# richardson_full / splitting_extrapolation_2d
+# HOFG (Richardson) and SPLIT2D (splitting) plans from the method table
+
+
+def _hofg(p, n, x):
+    return evaluate_plan(p, method_plan("HOFG", p.dim, n, level_shift=0), x).value
 
 
 def test_richardson_zero_rhs():
     p = ProblemSpec(dim=2, rhs=lambda x: 0.0)
-    assert richardson_full(p, 3, (0.3, 0.4)) == 0.0
-
-
-def test_richardson_rejects_n_zero():
-    p = builtin_sine_problem(1)
-    with pytest.raises(ValueError):
-        richardson_full(p, 0, (0.5,))
+    assert _hofg(p, 3, (0.3, 0.4)) == 0.0
 
 
 def test_richardson_beats_plain_grid():
@@ -457,7 +461,7 @@ def test_richardson_beats_plain_grid():
     x = (0.3, 0.7)
     u5, _ = solve_poisson(p, (5, 5))
     plain = abs(multilinear_eval(u5, x) - p.exact(x))
-    extrap = abs(richardson_full(p, 5, x) - p.exact(x))
+    extrap = abs(_hofg(p, 5, x) - p.exact(x))
     assert extrap < plain / 4
 
 
@@ -466,23 +470,21 @@ def test_richardson_fourth_order_1d():
     # error does not mask the extrapolated truncation order.
     p = builtin_sine_problem(1)
     x = (0.5,)
-    errs = [(n, abs(richardson_full(p, n, x) - p.exact(x))) for n in range(3, 8)]
+    errs = [(n, abs(_hofg(p, n, x) - p.exact(x))) for n in range(3, 8)]
     order = observed_order(errs)
     assert 3.7 <= order <= 4.3
 
 
 def test_splitting_zero_rhs():
     p = ProblemSpec(dim=2, rhs=lambda x: 0.0)
-    assert splitting_extrapolation_2d(p, (3, 3), (0.25, 0.5)) == 0.0
+    plan = method_plan("SPLIT2D", 2, 3, level_shift=0)
+    assert evaluate_plan(p, plan, (0.25, 0.5)).value == 0.0
 
 
 def test_splitting_requires_2d():
-    p = builtin_sine_problem(3)
-    with pytest.raises(ValueError):
-        splitting_extrapolation_2d(p, (2, 2, 2), (0.5, 0.5, 0.5))
-    p2 = builtin_sine_problem(2)
-    with pytest.raises(ValueError):
-        splitting_extrapolation_2d(p2, (2, 2, 2), (0.5, 0.5))
+    for d in (1, 3):
+        with pytest.raises(ValueError):
+            method_plan("SPLIT2D", d, 2, level_shift=0)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +570,7 @@ def test_split2d_study_runs():
     recs = hierarchical_surplus_study(p, "SPLIT2D", 2, 5, n_min=3)
     assert [r.n for r in recs] == [3, 4, 5]
     x = default_eval_point(2)
-    direct = splitting_extrapolation_2d(p, (4, 4), x)
+    direct = evaluate_plan(p, method_plan("SPLIT2D", 2, 4, level_shift=0), x).value
     assert recs[0].value == direct
 
 

@@ -8,9 +8,7 @@ from sparsecombine.grid import (
     GridFunction,
     LevelIndex,
     enumerate_nodes,
-    mesh_widths,
     multilinear_eval,
-    refine,
 )
 
 from oracles import interp_corners
@@ -21,20 +19,20 @@ from oracles import interp_corners
 
 
 def test_mesh_widths_examples():
-    assert mesh_widths((0, 0)) == (1.0, 1.0)
-    assert mesh_widths((3,)) == (0.125,)
-    assert mesh_widths((2, 5, 1)) == (0.25, 0.03125, 0.5)
+    assert LevelIndex((0, 0)).mesh_widths() == (1.0, 1.0)
+    assert LevelIndex((3,)).mesh_widths() == (0.125,)
+    assert LevelIndex((2, 5, 1)).mesh_widths() == (0.25, 0.03125, 0.5)
 
 
 def test_refine_examples():
-    assert refine((2, 2), set()) == (2, 2)
-    assert refine((2, 2), {0}) == (3, 2)
-    assert refine((1, 0, 4), {0, 2}) == (2, 0, 5)
+    assert LevelIndex((2, 2)).refine(set()) == (2, 2)
+    assert LevelIndex((2, 2)).refine({0}) == (3, 2)
+    assert LevelIndex((1, 0, 4)).refine({0, 2}) == (2, 0, 5)
 
 
 def test_refine_out_of_range():
     with pytest.raises(IndexError):
-        refine((1, 1), {2})
+        LevelIndex((1, 1)).refine({2})
 
 
 def test_level_validation():
