@@ -21,9 +21,7 @@ from .combine import (
     STUDY_METHODS,
     BudgetExceededError,
     ConvergenceRecord,
-    GridCache,
     default_eval_point,
-    evaluate_plan,
     extrapolation_weights,
     hierarchical_surplus_study,
     ho_plan,

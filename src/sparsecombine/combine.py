@@ -2,10 +2,13 @@
 
 A plan is a signed rational measure on level multi-indices: solve the PDE on
 every grid in the plan's support, interpolate each solution at the evaluation
-point, and accumulate coefficient-weighted values. Coefficients are exact
-rationals end to end; they are converted to floating point only at the final
-multiply, and the weighted reduction runs in a fixed sorted level order so
-results are bit-identical regardless of caching or parallelism.
+points, and accumulate coefficient-weighted values. A grid is interpolated at
+every requested point right after its solve and then dropped, so only K
+floats per grid outlive the solve. Coefficients are exact rationals end to
+end; they are converted to floating point only at the final multiply, and the
+weighted reduction runs in a fixed sorted level order so results are
+bit-identical regardless of caching, parallelism or the other points
+evaluated alongside.
 
 The constructors cover the classical sparse-grid combination, 2**d-grid
 multivariate extrapolation of a single level and their composition (the
@@ -32,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, LevelIndex, Point, multilinear_eval
+from .grid import LevelIndex, Point, _checked_points, multilinear_eval
 from .pde import ProblemSpec, solve_poisson
 
 __all__ = [
@@ -117,11 +120,15 @@ class CombinationPlan:
             raise ValueError("plan dimension must be >= 1")
         clean: dict[LevelIndex, Fraction] = {}
         for lv, coeff in terms.items():
-            lv = LevelIndex(lv)
-            if lv.dim != dim:
+            # The builders hand over LevelIndex keys and Fraction values; only
+            # other input is converted (and thereby validated).
+            if type(lv) is not LevelIndex:
+                lv = LevelIndex(lv)
+            if len(lv) != dim:
                 raise ValueError(f"level {tuple(lv)} does not have dimension {dim}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
                 clean[lv] = coeff
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -169,6 +176,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _diagonal(total: int, d: int) -> Iterator[LevelIndex]:
+    # Every level l in N^d with |l|_1 = total. Compositions are valid levels
+    # by construction, so LevelIndex's validation is skipped.
+    return (tuple.__new__(LevelIndex, lv) for lv in _compositions(total, d))
+
+
 def _diagonal_coefficient(d: int, i: int) -> int:
     # The classical coefficient on the diagonal |l|_1 = n + i, 0 <= i < d.
     return (-1) ** (d - 1 - i) * comb(d - 1, i)
@@ -184,10 +197,10 @@ def standard_plan(d: int, n: int) -> CombinationPlan:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("level must be >= 0")
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[LevelIndex, Fraction] = {}
     for i in range(d):
         coeff = Fraction(_diagonal_coefficient(d, i))
-        for lv in _compositions(n + i, d):
+        for lv in _diagonal(n + i, d):
             terms[lv] = coeff
     return CombinationPlan(d, terms, label=f"standard(d={d},n={n})")
 
@@ -237,7 +250,7 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     if n < 1:
         raise ValueError("higher-order plan needs n >= 1")
     alpha = extrapolation_weights(d)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[LevelIndex, Fraction] = {}
     for t in range(n, n + 2 * d):
         coeff = [
             sum(
@@ -250,7 +263,7 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
             )
             for p in range(d + 1)
         ]
-        for lv in _compositions(t, d):
+        for lv in _diagonal(t, d):
             terms[lv] = coeff[d - lv.count(0)]
     return CombinationPlan(d, terms, label=f"ho(d={d},n={n})")
 
@@ -315,40 +328,43 @@ def plan_dof(plan: CombinationPlan) -> tuple[int, int]:
     return dof_unique, dof_total
 
 
-class GridCache:
-    """Concurrent insert-or-get store of solved grids, keyed by LevelIndex.
+# A GridCache key: a level and the bytes of the (K, d) evaluation points.
+CacheKey = tuple[LevelIndex, bytes]
 
-    Each level is solved at most once: the first caller wins and runs the
-    solver, concurrent callers for the same level block on its result.
+
+class GridCache:
+    """Concurrent insert-or-get store of grid values at a set of points.
+
+    A key is (level, point set) and its entry is the tuple of the K values
+    the grid's interpolant takes at those points, so the nodal grid is
+    dropped as soon as its values are taken and the cache never holds a
+    grid. Each key is solved at most once: the first caller wins and runs
+    the solver, concurrent callers for the same key block on its result. A
+    level looked up with another point set is a different key.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[LevelIndex, Future] = {}
+        self._entries: dict[CacheKey, Future] = {}
 
     def get_or_solve(
-        self, level: LevelIndex, solver: Callable[[LevelIndex], GridFunction]
-    ) -> tuple[GridFunction, bool]:
-        """Return (grid, newly_solved); runs ``solver`` only on a miss."""
+        self, key: CacheKey, solver: Callable[[CacheKey], tuple[float, ...]]
+    ) -> tuple[tuple[float, ...], bool]:
+        """Return (entry, newly_solved); runs ``solver(key)`` only on a miss."""
         with self._lock:
-            fut = self._entries.get(level)
+            fut = self._entries.get(key)
             mine = fut is None
             if mine:
                 fut = Future()
-                self._entries[level] = fut
+                self._entries[key] = fut
         if mine:
             try:
-                fut.set_result(solver(level))
+                fut.set_result(solver(key))
             except BaseException as exc:
                 with self._lock:
-                    self._entries.pop(level, None)
+                    self._entries.pop(key, None)
                 fut.set_exception(exc)
         return fut.result(), mine
-
-    def __contains__(self, level) -> bool:
-        with self._lock:
-            fut = self._entries.get(LevelIndex(level))
-        return fut is not None and fut.done() and fut.exception() is None
 
     def __len__(self) -> int:
         with self._lock:
@@ -359,17 +375,23 @@ class GridCache:
 class EvaluationResult:
     """Outcome of one plan evaluation.
 
-    dof_total sums node counts over the plan's terms; dof_unique counts only
-    the grids newly solved by this call (grids reused from the cache, and
-    zero-level grids that need no solve, contribute nothing), so repeated
-    evaluations against a warm cache report dof_unique = 0.
+    ``values`` holds the combined value at each evaluation point, in the
+    order given; ``value`` is the first of them. dof_total sums node counts
+    over the plan's terms; dof_unique counts only the grids newly solved by
+    this call (grids reused from the cache, and zero-level grids that need
+    no solve, contribute nothing), so repeated evaluations against a warm
+    cache report dof_unique = 0.
     """
 
-    value: float
+    values: tuple[float, ...]
     dof_total: int
     dof_unique: int
     grids_solved: int
     seconds: float
+
+    @property
+    def value(self) -> float:
+        return self.values[0]
 
 
 def default_eval_point(d: int) -> tuple[float, ...]:
@@ -377,37 +399,29 @@ def default_eval_point(d: int) -> tuple[float, ...]:
     return tuple(0.25 if j % 2 == 0 else 0.5 for j in range(d))
 
 
-def _validate_point(x: Point, d: int) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in x)
-    if len(pt) != d:
-        raise ValueError(f"point has {len(pt)} coords, expected {d}")
-    for j, v in enumerate(pt):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"coordinate {j} = {v} outside [0, 1]")
-    return pt
-
-
 def evaluate_plan(
     p: ProblemSpec,
     plan: CombinationPlan,
-    x: Point,
+    x,
     cache: Optional[GridCache] = None,
     *,
     parallelism: Optional[int] = None,
     node_budget: Optional[int] = None,
 ) -> EvaluationResult:
-    """Solve (or fetch) every grid in the plan and combine interpolated values.
+    """Combine the plan's grid values at one point or at a (K, d) point array.
 
-    Grids with a zero level in some direction have no interior unknown under
-    homogeneous Dirichlet data; they contribute exactly 0.0 without a solve.
-    Distinct levels are solved concurrently across a worker pool; the final
-    weighted reduction runs sequentially over sorted levels with exact
-    coefficients converted to float at the multiply, so the result is
-    bit-identical whatever the cache state or worker count.
+    Each grid is solved (or its values fetched from ``cache``), interpolated
+    at every point, and dropped. Grids with a zero level in some direction
+    have no interior unknown under homogeneous Dirichlet data; they
+    contribute exactly 0.0 without a solve. Distinct levels are solved
+    concurrently across a worker pool; each point's weighted reduction runs
+    sequentially over sorted levels with exact coefficients converted to
+    float at the multiply, so every value is bit-identical whatever the
+    cache state, the worker count or the other points evaluated alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
-    pt = _validate_point(x, plan.dim)
+    pts = _checked_points(x, plan.dim)
     t0 = time.perf_counter()
 
     support = plan.support()
@@ -424,9 +438,15 @@ def evaluate_plan(
         cache = GridCache()
     solvable = [lv for lv in support if min(lv) >= 1]
 
-    def fetch(level: LevelIndex) -> tuple[GridFunction, bool]:
+    points_key = pts.tobytes()
+
+    def values_at(key: CacheKey) -> tuple[float, ...]:
+        grid = solve_poisson(p, key[0])[0]
+        return tuple(multilinear_eval(grid, pts).tolist())
+
+    def fetch(level: LevelIndex) -> tuple[tuple[float, ...], bool]:
         try:
-            return cache.get_or_solve(level, lambda lv: solve_poisson(p, lv)[0])
+            return cache.get_or_solve((level, points_key), values_at)
         except Exception as exc:
             raise PlanEvaluationError(
                 f"while solving level {tuple(level)} "
@@ -435,29 +455,29 @@ def evaluate_plan(
             ) from exc
 
     workers = parallelism if parallelism is not None else (os.cpu_count() or 1)
-    grids: dict[LevelIndex, GridFunction] = {}
+    entries: dict[LevelIndex, tuple[float, ...]] = {}
     newly_solved: list[LevelIndex] = []
     if workers > 1 and len(solvable) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {lv: pool.submit(fetch, lv) for lv in solvable}
             for lv, fut in futures.items():
-                grid, mine = fut.result()
-                grids[lv] = grid
+                entry, mine = fut.result()
+                entries[lv] = entry
                 if mine:
                     newly_solved.append(lv)
     else:
         for lv in solvable:
-            grid, mine = fetch(lv)
-            grids[lv] = grid
+            entry, mine = fetch(lv)
+            entries[lv] = entry
             if mine:
                 newly_solved.append(lv)
 
-    value = math.fsum(
-        float(coeff) * (multilinear_eval(grids[lv], pt) if min(lv) >= 1 else 0.0)
-        for lv, coeff in plan.items()
-    )
+    zeros = (0.0,) * len(pts)
+    weighted = [(float(coeff), entries.get(lv, zeros)) for lv, coeff in plan.items()]
     return EvaluationResult(
-        value=value,
+        values=tuple(
+            math.fsum(c * entry[k] for c, entry in weighted) for k in range(len(pts))
+        ),
         dof_total=dof_total,
         dof_unique=sum(lv.node_count() for lv in newly_solved),
         grids_solved=len(newly_solved),
@@ -604,7 +624,7 @@ def hierarchical_surplus_study(
     seed: int = 1234,
     cache: Optional[GridCache] = None,
 ) -> list[ConvergenceRecord]:
-    """Run a convergence study over n = n_min..n_max with a shared grid cache.
+    """Run a convergence study over n = n_min..n_max with a shared value cache.
 
     Grids are built at the configured level shift (default 1: every level in
     the plan is offset by one so all grids are solvable without the Dirichlet
@@ -615,7 +635,9 @@ def hierarchical_surplus_study(
     ``surplus_points = 0`` reproduces the single-point surplus
     |value_{n+1}(x) - value_n(x)|. With ``surplus_points = k > 0`` the surplus
     is the max over k fixed sample points drawn once from ``seed`` (robustness
-    mode); the ``value`` field still reports the evaluation at ``x``.
+    mode); the ``value`` field still reports the evaluation at ``x``. Each
+    record is one ``evaluate_plan`` call over x and the sample points, so a
+    grid is solved once and read at all k + 1 points.
 
     Raises BudgetExceededError (with the completed records attached) before
     solving any record whose projected node total exceeds ``node_budget``.
@@ -634,13 +656,14 @@ def hierarchical_surplus_study(
     if surplus_points < 0:
         raise ValueError("surplus_points must be >= 0")
 
-    pt = _validate_point(x if x is not None else default_eval_point(d), d)
+    pts = _checked_points(x if x is not None else default_eval_point(d), d)
+    if pts.shape[0] != 1:
+        raise ValueError("a study evaluates at one point x")
     if cache is None:
         cache = GridCache()
-    sample_pts: Optional[np.ndarray] = None
     if surplus_points > 0:
         rng = np.random.default_rng(seed)
-        sample_pts = rng.uniform(0.05, 0.95, size=(surplus_points, d))
+        pts = np.vstack([pts, rng.uniform(0.05, 0.95, size=(surplus_points, d))])
 
     records: list[ConvergenceRecord] = []
     prev_vec: Optional[np.ndarray] = None
@@ -659,17 +682,10 @@ def hierarchical_surplus_study(
         t0 = time.perf_counter()
         plan = method_plan(method, d, n, level_shift)
         result = evaluate_plan(
-            p, plan, pt, cache, parallelism=parallelism, node_budget=node_budget
+            p, plan, pts, cache, parallelism=parallelism, node_budget=node_budget
         )
-        if sample_pts is not None:
-            vec = np.array(
-                [
-                    evaluate_plan(p, plan, tuple(s), cache, parallelism=parallelism).value
-                    for s in sample_pts
-                ]
-            )
-        else:
-            vec = np.array([result.value])
+        # The surplus compares the sample points' values, or the value at x.
+        vec = np.array(result.values[1:] if surplus_points else result.values)
         runtime = time.perf_counter() - t0
         if records:
             records[-1].surplus = float(np.max(np.abs(vec - prev_vec)))

@@ -209,28 +209,51 @@ def enumerate_nodes(
         yield idx, tuple(i * h for i, h in zip(idx, widths))
 
 
-def multilinear_eval(g: GridFunction, x: Point) -> float:
+def _checked_points(x, d: int) -> np.ndarray:
+    """``x`` as a fresh (K, d) float array: one point of d coordinates gives K = 1.
+
+    Raises ValueError for a point whose length is not d, a coordinate outside
+    [0, 1] (NaN included), or an empty point set.
+    """
+    pts = np.array(x, dtype=np.float64, ndmin=2)
+    if pts.ndim != 2:
+        raise ValueError(f"expected one point or a (K, d) array, got shape {pts.shape}")
+    if pts.shape[1] != d:
+        raise ValueError(f"point has {pts.shape[1]} coords, expected {d}")
+    if pts.shape[0] == 0:
+        raise ValueError("no evaluation point given")
+    bad = ~((pts >= 0.0) & (pts <= 1.0))
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise ValueError(f"coordinate {j} = {float(pts[k, j])} outside [0, 1]")
+    return pts
+
+
+def multilinear_eval(g: GridFunction, x):
     """Evaluate the piecewise-multilinear interpolant of ``g`` at ``x``.
 
+    ``x`` is one point (a float is returned) or a (K, d) array of points (an
+    array of K values is returned); every point goes through the same
+    per-axis reduction, so a value does not depend on the other points.
     Exact at grid nodes and for any function that is d-linear on each cell.
     Points on a cell boundary use the lower cell; x_j = 1 uses the last cell
     (the interpolant is continuous, so the choice is unobservable).
     """
     lv = g.level
-    if len(x) != lv.dim:
-        raise ValueError(f"point has {len(x)} coords, grid is {lv.dim}-dimensional")
-    cells: list[int] = []
-    fracs: list[float] = []
-    for j, xj in enumerate(x):
-        xj = float(xj)
-        if not 0.0 <= xj <= 1.0:
-            raise ValueError(f"coordinate {j} = {xj} outside [0, 1]")
-        m = 2 ** lv[j]  # number of cells in direction j
-        t = xj * m
-        i = min(int(t), m - 1)
-        cells.append(i)
-        fracs.append(t - i)
-    block = g.ndview()[tuple(slice(i, i + 2) for i in cells)]
-    for t in fracs:
-        block = (1.0 - t) * block[0] + t * block[1]
-    return float(block)
+    pts = _checked_points(x, lv.dim)
+    k, d = pts.shape
+    m = np.array([2 ** v for v in lv])  # number of cells per direction
+    t = pts * m
+    cells = np.minimum(t.astype(np.intp), m - 1)
+    fracs = t - cells
+    # Gather the 2**d corner values of each point's cell: shape (K, 2, ..., 2).
+    corners = []
+    for j in range(d):
+        shape = [k] + [1] * d
+        shape[j + 1] = 2
+        corners.append((cells[:, j, None] + (0, 1)).reshape(shape))
+    block = g.ndview()[tuple(corners)]
+    for j in range(d):
+        tj = fracs[:, j].reshape((k,) + (1,) * (d - 1 - j))
+        block = (1.0 - tj) * block[:, 0] + tj * block[:, 1]
+    return float(block[0]) if np.ndim(x) == 1 else block

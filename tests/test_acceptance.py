@@ -272,12 +272,12 @@ def test_c09_plan_matches_literal_double_sum():
         for n in range(2, 6):
             for shift in (1, 0):
                 plan = ho_plan(d, n).shifted(shift) if shift else ho_plan(d, n)
-                for x in points:
-                    mine = evaluate_plan(p, plan, tuple(x), eval_cache).value
+                mine = evaluate_plan(p, plan, points, eval_cache).values
+                for x, value in zip(points, mine):
                     ref = oracles.double_sum_ho(
                         p, d, n, tuple(x), level_shift=shift, solve=solve_full
                     )
-                    worst = max(worst, abs(mine - ref))
+                    worst = max(worst, abs(value - ref))
     ok = worst <= 1e-12
     _verdict(
         "c09",

@@ -204,6 +204,15 @@ def test_bad_config_exits_3(argv, capsys):
     assert run_main(argv) == EXIT_BAD_CONFIG
 
 
+def test_study_nan_point_exits_3_without_traceback(capsys):
+    argv = ["study", "--method", "SG", "--dim", "2", "--n-min", "3", "--n-max", "4",
+            "--point", "nan,0.5"]
+    assert run_main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "coordinate 0 = nan outside [0, 1]" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -390,6 +392,83 @@ def test_reduction_bit_identical_across_cache_and_workers():
     serial = evaluate_plan(p, plan, x, parallelism=1).value
     threaded = evaluate_plan(p, plan, x, parallelism=4).value
     assert fresh == warm == serial == threaded
+
+    # K points in one call give the K single-point values bit for bit, with
+    # a cold and a warm cache and with 1 and 4 workers.
+    pts = [x, (0.0, 1.0), (0.5, 0.25), (0.91, 0.13), (1.0, 0.6)]
+    singles = [evaluate_plan(p, plan, q).value for q in pts]
+    assert singles[0] == fresh
+    batch_cache = GridCache()
+    evaluate_plan(p, standard_plan(2, 4).shifted(1), pts, batch_cache)
+    for workers in (1, 4):
+        cold = evaluate_plan(p, plan, pts, parallelism=workers)
+        warm_k = evaluate_plan(p, plan, pts, batch_cache, parallelism=workers)
+        assert list(cold.values) == list(warm_k.values) == singles
+        assert cold.value == fresh
+
+
+def test_cache_does_not_serve_another_point_set():
+    p = builtin_sine_problem(2)
+    plan = standard_plan(2, 3).shifted(1)
+    cache = GridCache()
+    first = evaluate_plan(p, plan, (0.3, 0.7), cache)
+    assert first.grids_solved == len(plan)
+    for other in ((0.6, 0.2), [(0.3, 0.7), (0.6, 0.2)]):
+        res = evaluate_plan(p, plan, other, cache)
+        assert res.grids_solved == len(plan)
+        assert res.values == evaluate_plan(p, plan, other).values
+    assert len(cache) == 3 * len(plan)
+    again = evaluate_plan(p, plan, [(0.3, 0.7)], cache)
+    assert again.grids_solved == 0
+    assert again.value == first.value
+
+
+def test_study_cache_holds_values_not_grids():
+    class RecordingCache(GridCache):
+        def __init__(self):
+            super().__init__()
+            self.seen = {}
+
+        def get_or_solve(self, key, solver):
+            entry, mine = super().get_or_solve(key, solver)
+            self.seen[key] = entry
+            return entry, mine
+
+    def live_grids():
+        gc.collect()
+        return sum(isinstance(o, GridFunction) for o in gc.get_objects())
+
+    p = builtin_sine_problem(2)
+    cache = RecordingCache()
+    before = live_grids()
+    hierarchical_surplus_study(
+        p, "HOSG", 2, 5, n_min=2, surplus_points=6, parallelism=2, cache=cache
+    )
+    assert live_grids() <= before
+    assert len(cache.seen) == len(cache) > 0
+    for entry in cache.seen.values():
+        assert type(entry) is tuple and len(entry) == 7
+        assert all(type(v) is float for v in entry)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.5, float("nan")), "coordinate 1 = nan outside [0, 1]"),
+        ((1.5, 0.5), "coordinate 0 = 1.5 outside [0, 1]"),
+        ((0.5, 0.5, 0.5), "point has 3 coords, expected 2"),
+    ],
+)
+def test_evaluate_plan_bad_point_same_error_alone_or_in_array(bad, message):
+    def rhs(x):
+        raise AssertionError("no grid may be solved for a bad point")
+
+    p = ProblemSpec(dim=2, rhs=rhs)
+    plan = standard_plan(2, 2).shifted(1)
+    good = (0.25,) * len(bad)
+    for x in (bad, [good, bad]):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_plan(p, plan, x)
 
 
 def test_evaluate_plan_linear_in_rhs():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,54 @@ def test_eval_dimension_mismatch():
     g = GridFunction.zeros((1, 1))
     with pytest.raises(ValueError):
         multilinear_eval(g, (0.5,))
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+)
+def test_batched_eval_matches_single_points(d, seed):
+    # A (K, d) array gives, bit for bit, the K values of K one-point calls,
+    # including the faces x_j = 0 and 1 and grid nodes.
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 5, size=d)
+    g = GridFunction(levels, rng.standard_normal(LevelIndex(levels).node_count()))
+    pts = rng.uniform(0.0, 1.0, size=(12, d))
+    pts[0] = 0.0
+    pts[1] = 1.0
+    pts[2] = rng.integers(0, 2 ** levels + 1) * 2.0 ** -levels
+    pts[3, rng.integers(0, d)] = rng.integers(0, 2)
+    batched = multilinear_eval(g, pts)
+    singles = [multilinear_eval(g, tuple(q)) for q in pts]
+    assert all(type(v) is float for v in singles)
+    assert batched.shape == (12,)
+    assert batched.tolist() == singles
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.5, 1.2), "coordinate 1 = 1.2 outside [0, 1]"),
+        ((-0.1, 0.5), "coordinate 0 = -0.1 outside [0, 1]"),
+        ((float("nan"), 0.5), "coordinate 0 = nan outside [0, 1]"),
+        ((0.5,), "point has 1 coords, expected 2"),
+    ],
+)
+def test_bad_point_same_error_alone_or_in_array(bad, message):
+    g = GridFunction.zeros((1, 1))
+    good = (0.25,) if len(bad) == 1 else (0.25, 0.5)
+    for x in (bad, [good, bad, good]):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            multilinear_eval(g, x)
+
+
+def test_eval_rejects_empty_and_nested_point_arrays():
+    g = GridFunction.zeros((1, 1))
+    with pytest.raises(ValueError, match="no evaluation point"):
+        multilinear_eval(g, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="one point or a"):
+        multilinear_eval(g, np.zeros((3, 2, 2)))
 
 
 def test_boundary_points_use_last_cell():
