@@ -2,7 +2,7 @@
 inspection, and single-grid solves on the built-in benchmark problem.
 
 Exit codes: 0 ok, 1 verification failure, 2 node budget exceeded, 3 bad
-configuration or usage.
+configuration or usage, or out of memory.
 """
 
 from __future__ import annotations
@@ -257,10 +257,20 @@ def cmd_solve(
     method: str = "fast",
     stream: Optional[TextIO] = None,
 ) -> int:
-    """Solve the built-in problem on one grid and report values (debug aid)."""
+    """Solve the built-in problem on one grid and report values (debug aid).
+
+    A grid over the studies' node budget raises BudgetExceededError unsolved.
+    """
     out = stream if stream is not None else sys.stdout
     problem = builtin_sine_problem(dim)
     lv = LevelIndex(level)
+    budget = _default_budget()
+    if lv.node_count() > budget:
+        raise BudgetExceededError(
+            f"level {tuple(lv)} has {lv.node_count()} nodes, budget is {budget}",
+            projected=lv.node_count(),
+            budget=budget,
+        )
     grid, report = solve_poisson(problem, lv, method=method)
     pt = tuple(point) if point is not None else default_eval_point(dim)
     value = multilinear_eval(grid, pt)
@@ -406,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_study(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
-    if budget <= 0:
-        raise ValueError("node budget must be positive")
     cfg = StudyConfig(
         method=args.method,
         dim=args.dim,
@@ -451,8 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget guard: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A bare MemoryError carries no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

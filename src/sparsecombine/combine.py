@@ -22,13 +22,14 @@ reproduced.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -105,7 +106,9 @@ class CombinationPlan:
     """An immutable map LevelIndex -> nonzero Fraction coefficient.
 
     Coefficients that accumulate to exactly zero are dropped at construction,
-    so no stored coefficient is zero.
+    so no stored coefficient is zero. Terms are stored in sorted level order
+    (the canonical reduction order), so ``terms``, ``items()``, ``support()``
+    and iteration all yield levels sorted by tuple.
     """
 
     __slots__ = ("dim", "terms", "label")
@@ -130,6 +133,8 @@ class CombinationPlan:
                 coeff = Fraction(coeff)
             if coeff:
                 clean[lv] = coeff
+        if not all(map(operator.lt, clean, islice(clean, 1, None))):
+            clean = {lv: clean[lv] for lv in sorted(clean)}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "label", label)
@@ -141,14 +146,14 @@ class CombinationPlan:
         return len(self.terms)
 
     def __iter__(self) -> Iterator[LevelIndex]:
-        return iter(self.support())
+        return iter(self.terms)
 
     def items(self) -> list[tuple[LevelIndex, Fraction]]:
         """Term list sorted by level tuple (the canonical reduction order)."""
-        return sorted(self.terms.items())
+        return list(self.terms.items())
 
     def support(self) -> list[LevelIndex]:
-        return sorted(self.terms)
+        return list(self.terms)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
@@ -166,25 +171,33 @@ class CombinationPlan:
         )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All tuples of `parts` non-negative ints summing to `total`.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _band(d: int, n: int, alpha: Sequence) -> dict[LevelIndex, Fraction]:
+    # Every level l with n <= |l|_1 <= n+d+len(alpha)-2, in lexicographic
+    # order, mapped to c(|l|_1, #nonzero levels) (see ho_plan); a maps each
+    # diagonal to its standard-plan coefficient. The walk carries |l|_1 and
+    # the nonzero count down each prefix, so a term costs one table lookup.
+    top = n + d + len(alpha) - 2
+    a = {n + i: (-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)}
 
+    def c(t: int, p: int) -> Fraction:
+        terms = (comb(p, k) * a.get(t - k, 0) * w for k, w in enumerate(alpha[: p + 1]))
+        return sum(terms, Fraction(0))
 
-def _diagonal(total: int, d: int) -> Iterator[LevelIndex]:
-    # Every level l in N^d with |l|_1 = total. Compositions are valid levels
-    # by construction, so LevelIndex's validation is skipped.
-    return (tuple.__new__(LevelIndex, lv) for lv in _compositions(total, d))
-
-
-def _diagonal_coefficient(d: int, i: int) -> int:
-    # The classical coefficient on the diagonal |l|_1 = n + i, 0 <= i < d.
-    return (-1) ** (d - 1 - i) * comb(d - 1, i)
+    table = [[c(t, p) for p in range(d + 1)] for t in range(top + 1)]
+    prefixes = [((), 0, 0)]
+    for _ in range(d - 1):
+        prefixes = [
+            (lv + (v,), t + v, p + (v > 0))
+            for lv, t, p in prefixes
+            for v in range(top - t + 1)
+        ]
+    # The last level closes the band; compositions are valid levels by
+    # construction, so LevelIndex's validation is skipped.
+    return {
+        tuple.__new__(LevelIndex, lv + (v,)): table[t + v][p + (v > 0)]
+        for lv, t, p in prefixes
+        for v in range(max(n - t, 0), top - t + 1)
+    }
 
 
 def standard_plan(d: int, n: int) -> CombinationPlan:
@@ -197,12 +210,7 @@ def standard_plan(d: int, n: int) -> CombinationPlan:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("level must be >= 0")
-    terms: dict[LevelIndex, Fraction] = {}
-    for i in range(d):
-        coeff = Fraction(_diagonal_coefficient(d, i))
-        for lv in _diagonal(n + i, d):
-            terms[lv] = coeff
-    return CombinationPlan(d, terms, label=f"standard(d={d},n={n})")
+    return CombinationPlan(d, _band(d, n, (1,)), label=f"standard(d={d},n={n})")
 
 
 def extrapolation_weights(d: int) -> tuple[Fraction, ...]:
@@ -243,29 +251,14 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     its coefficient depends only on t = |l|_1 and the count p of nonzero
     levels: c(t, p) = sum_k C(p, k) * a_{t-k-n} * alpha_k, a_i being the
     standard-plan coefficient on diagonal n + i (zero outside 0 <= i < d).
-    Levels whose
-    coefficient is exactly zero are dropped. The support lies in
-    { l : n <= |l|_1 <= n+2d-1 }.
+    The standard plan is the case alpha = (1,). Levels whose coefficient is
+    exactly zero are dropped. The support lies in { l : n <= |l|_1 <= n+2d-1 }.
     """
     if n < 1:
         raise ValueError("higher-order plan needs n >= 1")
-    alpha = extrapolation_weights(d)
-    terms: dict[LevelIndex, Fraction] = {}
-    for t in range(n, n + 2 * d):
-        coeff = [
-            sum(
-                (
-                    comb(p, k) * _diagonal_coefficient(d, t - k - n) * alpha[k]
-                    for k in range(p + 1)
-                    if 0 <= t - k - n < d
-                ),
-                Fraction(0),
-            )
-            for p in range(d + 1)
-        ]
-        for lv in _diagonal(t, d):
-            terms[lv] = coeff[d - lv.count(0)]
-    return CombinationPlan(d, terms, label=f"ho(d={d},n={n})")
+    return CombinationPlan(
+        d, _band(d, n, extrapolation_weights(d)), label=f"ho(d={d},n={n})"
+    )
 
 
 def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
@@ -278,18 +271,21 @@ def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
 
 
 def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:
-    """JSON-ready dump: terms with exact "p/q" coefficient strings."""
-    terms = [
-        {"levels": list(lv), "coeff": _frac_str(coeff)}
-        for lv, coeff in sorted(plan.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ]
+    """JSON-ready dump: terms ordered by (|l|_1, l), with exact "p/q"
+    coefficient strings."""
+    masses = per_level_mass(plan)
+    # Bucketing by |l|_1 in diagonal order is a stable sort: each diagonal
+    # keeps the stored level order.
+    diagonals: dict[int, list[dict]] = {t: [] for t in masses}
+    for lv, coeff in plan.terms.items():
+        diagonals[sum(lv)].append({"levels": list(lv), "coeff": _frac_str(coeff)})
     return {
         "d": plan.dim,
         "n": n,
         "label": plan.label,
-        "terms": terms,
-        "coefficient_sum": _frac_str(plan.coefficient_sum()),
-        "level_mass": {str(t): _frac_str(m) for t, m in per_level_mass(plan).items()},
+        "terms": [term for bucket in diagonals.values() for term in bucket],
+        "coefficient_sum": _frac_str(sum(masses.values(), Fraction(0))),
+        "level_mass": {str(t): _frac_str(m) for t, m in masses.items()},
     }
 
 
@@ -302,11 +298,10 @@ def plan_dof(plan: CombinationPlan) -> tuple[int, int]:
     downward closure of the support, the nodes new at that level
     (2 per direction at level 0, 2**(k-1) at level k >= 1).
     """
-    support = plan.support()
-    dof_total = sum(lv.node_count() for lv in support)
+    dof_total = sum(lv.node_count() for lv in plan.terms)
 
     closure: set[tuple[int, ...]] = set()
-    stack: list[tuple[int, ...]] = [tuple(lv) for lv in support]
+    stack: list[tuple[int, ...]] = [tuple(lv) for lv in plan.terms]
     while stack:
         lv = stack.pop()
         if lv in closure:
@@ -424,8 +419,7 @@ def evaluate_plan(
     pts = _checked_points(x, plan.dim)
     t0 = time.perf_counter()
 
-    support = plan.support()
-    dof_total = sum(lv.node_count() for lv in support)
+    dof_total = sum(lv.node_count() for lv in plan.terms)
     if node_budget is not None and dof_total > node_budget:
         raise BudgetExceededError(
             f"plan {plan.label or '<unnamed>'} needs {dof_total} nodes, "
@@ -436,7 +430,7 @@ def evaluate_plan(
 
     if cache is None:
         cache = GridCache()
-    solvable = [lv for lv in support if min(lv) >= 1]
+    solvable = [lv for lv in plan.terms if min(lv) >= 1]
 
     points_key = pts.tobytes()
 
@@ -455,22 +449,13 @@ def evaluate_plan(
             ) from exc
 
     workers = parallelism if parallelism is not None else (os.cpu_count() or 1)
-    entries: dict[LevelIndex, tuple[float, ...]] = {}
-    newly_solved: list[LevelIndex] = []
     if workers > 1 and len(solvable) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {lv: pool.submit(fetch, lv) for lv in solvable}
-            for lv, fut in futures.items():
-                entry, mine = fut.result()
-                entries[lv] = entry
-                if mine:
-                    newly_solved.append(lv)
+            fetched = list(pool.map(fetch, solvable))
     else:
-        for lv in solvable:
-            entry, mine = fetch(lv)
-            entries[lv] = entry
-            if mine:
-                newly_solved.append(lv)
+        fetched = list(map(fetch, solvable))
+    entries = {lv: entry for lv, (entry, _) in zip(solvable, fetched)}
+    newly_solved = [lv for lv, (_, mine) in zip(solvable, fetched) if mine]
 
     zeros = (0.0,) * len(pts)
     weighted = [(float(coeff), entries.get(lv, zeros)) for lv, coeff in plan.items()]

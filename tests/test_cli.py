@@ -308,6 +308,54 @@ def test_solve_level_dim_mismatch(capsys):
     assert run_main(["solve", "--dim", "2", "--level", "3"]) == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize(
+    "env_budget,level,nodes", [(None, "12,12,12", 68769820673), ("288", "4,4", 289)]
+)
+def test_solve_over_budget_exits_2_without_solving(
+    env_budget, level, nodes, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an over-budget grid must not be solved")
+
+    monkeypatch.setattr("sparsecombine.cli.solve_poisson", no_solve)
+    if env_budget is None:
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(BUDGET_ENV_VAR, env_budget)
+    dim = str(level.count(",") + 1)
+    assert run_main(["solve", "--dim", dim, "--level", level]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert f"has {nodes} nodes" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_solve_at_budget_runs(monkeypatch, capsys):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "289")
+    assert run_main(["solve", "--dim", "2", "--level", "4,4"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["nodes"] == 289
+
+
+@pytest.mark.parametrize(
+    "message,reported",
+    [("Unable to allocate 14.6 TiB", "error: Unable to allocate 14.6 TiB"),
+     ("", "error: MemoryError")],
+)
+def test_study_out_of_memory_exits_3_without_traceback(
+    message, reported, monkeypatch, capsys
+):
+    # The MemoryError is injected; nothing is allocated for real.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sparsecombine.cli.hierarchical_surplus_study", out_of_memory)
+    argv = ["study", "--method", "SG", "--dim", "2", "--n-min", "3", "--n-max", "4",
+            "--surplus-points", "1000000000000"]
+    assert run_main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert reported in err
+    assert "Traceback" not in err
+
+
 def test_cmd_solve_stream():
     buf = io.StringIO()
     assert cmd_solve(1, (3,), stream=buf) == EXIT_OK

@@ -60,6 +60,22 @@ def test_plan_shifted():
     assert plan.coefficient_sum() == 1
 
 
+def test_plan_terms_in_sorted_level_order():
+    # Terms are stored sorted by level tuple whatever the input order, so every
+    # view of the plan is the canonical reduction order, and shifting keeps it.
+    given = {(2, 0): 1, (0, 2): 2, (1, 1): -1, (0, 1): 3, (1, 0): Fraction(1, 2)}
+    plan = CombinationPlan(2, given)
+    expected = sorted(LevelIndex(lv) for lv in given)
+    assert list(plan.terms) == expected
+    assert plan.support() == expected
+    assert [lv for lv, _ in plan.items()] == expected
+    assert list(plan) == expected
+    assert dict(plan.items()) == {LevelIndex(lv): Fraction(c) for lv, c in given.items()}
+    assert list(plan.shifted(1)) == [lv.shifted(1) for lv in expected]
+    for built in (standard_plan(3, 2), ho_plan(3, 2), extrapolation_plan((2, 1, 3))):
+        assert list(built) == sorted(built.terms)
+
+
 def test_plan_immutable():
     plan = standard_plan(2, 2)
     with pytest.raises(AttributeError):
@@ -695,3 +711,18 @@ def test_plan_to_dict_frozen():
     ]
     assert d["coefficient_sum"] == "1/1"
     assert d["level_mass"] == {"4": "-1/3", "5": "4/3"}
+
+
+def test_plan_to_dict_orders_terms_by_diagonal_then_level():
+    # In d = 2 the lexicographic order (0,1), (0,2), (1,0), ... differs from
+    # the export order, which is by |l|_1 first.
+    d = plan_to_dict(standard_plan(2, 1), n=1)
+    assert [(t["levels"], t["coeff"]) for t in d["terms"]] == [
+        ([0, 1], "-1/1"),
+        ([1, 0], "-1/1"),
+        ([0, 2], "1/1"),
+        ([1, 1], "1/1"),
+        ([2, 0], "1/1"),
+    ]
+    assert d["coefficient_sum"] == "1/1"
+    assert d["level_mass"] == {"1": "-2/1", "2": "3/1"}
