@@ -21,6 +21,7 @@ from .pde import (
     SolverReport,
     apply_operator,
     builtin_sine_problem,
+    solve_at_points,
     solve_poisson,
 )
 from .combine import (
@@ -51,7 +52,6 @@ from .verify import (
     IdentityReport,
     SyntheticExpansion,
     check_cancellation_system,
-    check_hosg_vs_bl_export,
     check_lemma_cancel,
     check_normalization,
     extrapolated_value,
@@ -78,6 +78,7 @@ __all__ = [
     "SolverConvergenceError",
     "builtin_sine_problem",
     "solve_poisson",
+    "solve_at_points",
     "apply_operator",
     # combine
     "CombinationPlan",
@@ -113,5 +114,4 @@ __all__ = [
     "synthetic_expansion_check",
     "residual_bound",
     "random_expansion",
-    "check_hosg_vs_bl_export",
 ]

@@ -1,14 +1,14 @@
 """Combination plans over grid levels and their evaluation.
 
 A plan is a signed rational measure on level multi-indices: solve the PDE on
-every grid in the plan's support, interpolate each solution at the evaluation
-points, and accumulate coefficient-weighted values. A grid is interpolated at
-every requested point right after its solve and then dropped, so only K
-floats per grid outlive the solve. Coefficients are exact rationals end to
-end; they are converted to floating point only at the final multiply, and the
-weighted reduction runs in a fixed sorted level order so results are
-bit-identical regardless of caching, parallelism or the other points
-evaluated alongside.
+every grid in the plan's support, take each solution's interpolated values at
+the evaluation points, and accumulate coefficient-weighted values. A grid's
+values are read from its sine coefficients (``pde.solve_at_points``), so no
+nodal grid is formed and only K floats per grid outlive the solve.
+Coefficients are exact rationals end to end; they are converted to floating
+point only at the final multiply, and the weighted reduction runs in a fixed
+sorted level order so results are bit-identical regardless of caching,
+parallelism or the other points evaluated alongside.
 
 The constructors cover the classical sparse-grid combination, 2**d-grid
 multivariate extrapolation of a single level and their composition (the
@@ -36,8 +36,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .grid import LevelIndex, Point, _checked_points, multilinear_eval
-from .pde import ProblemSpec, solve_poisson
+# multilinear_eval and solve_poisson are not called here (plan evaluation
+# reads grid values through solve_at_points); they stay module attributes
+# because outside-in instrumentation, the benchmark's span hooks, resolves
+# them on this module.
+from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
+from .pde import ProblemSpec, solve_at_points, solve_poisson  # noqa: F401
 
 __all__ = [
     "CombinationPlan",
@@ -331,8 +335,7 @@ class GridCache:
     """Concurrent insert-or-get store of grid values at a set of points.
 
     A key is (level, point set) and its entry is the tuple of the K values
-    the grid's interpolant takes at those points, so the nodal grid is
-    dropped as soon as its values are taken and the cache never holds a
+    the grid's interpolant takes at those points; the cache never holds a
     grid. Each key is solved at most once: the first caller wins and runs
     the solver, concurrent callers for the same key block on its result. A
     level looked up with another point set is a different key.
@@ -405,14 +408,15 @@ def evaluate_plan(
 ) -> EvaluationResult:
     """Combine the plan's grid values at one point or at a (K, d) point array.
 
-    Each grid is solved (or its values fetched from ``cache``), interpolated
-    at every point, and dropped. Grids with a zero level in some direction
-    have no interior unknown under homogeneous Dirichlet data; they
-    contribute exactly 0.0 without a solve. Distinct levels are solved
-    concurrently across a worker pool; each point's weighted reduction runs
-    sequentially over sorted levels with exact coefficients converted to
-    float at the multiply, so every value is bit-identical whatever the
-    cache state, the worker count or the other points evaluated alongside.
+    Each grid's values at the points are computed from its sine coefficients
+    by ``solve_at_points`` (or fetched from ``cache``); no nodal grid is
+    formed. Grids with a zero level in some direction have no interior
+    unknown under homogeneous Dirichlet data; they contribute exactly 0.0
+    without a solve. Distinct levels are solved concurrently across a worker
+    pool; each point's weighted reduction runs sequentially over sorted
+    levels with exact coefficients converted to float at the multiply, so
+    every value is bit-identical whatever the cache state, the worker count
+    or the other points evaluated alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
@@ -435,8 +439,7 @@ def evaluate_plan(
     points_key = pts.tobytes()
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
-        grid = solve_poisson(p, key[0])[0]
-        return tuple(multilinear_eval(grid, pts).tolist())
+        return tuple(solve_at_points(p, key[0], pts).tolist())
 
     def fetch(level: LevelIndex) -> tuple[tuple[float, ...], bool]:
         try:

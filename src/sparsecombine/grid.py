@@ -229,6 +229,21 @@ def _checked_points(x, d: int) -> np.ndarray:
     return pts
 
 
+def _cell_coordinates(
+    level: LevelIndex, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, fracs) of checked (K, d) points on the grid at ``level``.
+
+    cells[k, j] is the index of the lower node of the cell holding point k in
+    direction j, and fracs[k, j] in [0, 1] its offset from that node in mesh
+    widths. Both are exact (the scaling is by powers of two).
+    """
+    m = np.array([2 ** v for v in level])  # number of cells per direction
+    t = pts * m
+    cells = np.minimum(t.astype(np.intp), m - 1)
+    return cells, t - cells
+
+
 def multilinear_eval(g: GridFunction, x):
     """Evaluate the piecewise-multilinear interpolant of ``g`` at ``x``.
 
@@ -242,10 +257,7 @@ def multilinear_eval(g: GridFunction, x):
     lv = g.level
     pts = _checked_points(x, lv.dim)
     k, d = pts.shape
-    m = np.array([2 ** v for v in lv])  # number of cells per direction
-    t = pts * m
-    cells = np.minimum(t.astype(np.intp), m - 1)
-    fracs = t - cells
+    cells, fracs = _cell_coordinates(lv, pts)
     # Gather the 2**d corner values of each point's cell: shape (K, 2, ..., 2).
     corners = []
     for j in range(d):

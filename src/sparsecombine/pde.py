@@ -7,6 +7,13 @@ interior operator is a Kronecker sum of 1D second-difference matrices whose
 eigenvectors are discrete sine modes, so a solve is one forward sine transform
 per direction, a pointwise division by summed eigenvalues, and the inverse
 transforms. Exact to rounding, no iteration tuning.
+
+The forward transforms and the division give the solution's sine
+coefficients; ``solve_poisson`` turns them into the nodal grid with the
+inverse transforms. ``solve_at_points`` never forms that grid: the
+multilinear interpolant is linear in the nodal values and every nodal value
+is a sine sum, so its value at a point is the coefficients contracted with
+one weight vector per direction.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse.linalg
 
-from .grid import GridFunction, LevelIndex, Point
+from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
 
 __all__ = [
     "ProblemSpec",
@@ -29,6 +36,7 @@ __all__ = [
     "SolverConvergenceError",
     "builtin_sine_problem",
     "solve_poisson",
+    "solve_at_points",
     "apply_operator",
     "sine_transform",
     "inverse_sine_transform",
@@ -122,11 +130,49 @@ def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
     return [np.arange(1, 2 ** v) * (2.0 ** -v) for v in level]
 
 
+# pi in extended precision where the platform's long double has it (the
+# float64 pi plus its rounding error); elsewhere this is the float64 pi.
+_PI = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)
+
+
+@lru_cache(maxsize=None)
+def _sine_table(n: int) -> np.ndarray:
+    # sin(pi r / n) for r = 0 .. 2n-1, with exact zeros at r = 0 and r = n.
+    # Each entry is the sine of its first-quadrant argument pi min(r, n-r)/n
+    # (r taken mod n, the sign restored), evaluated in long double and
+    # rounded once. A float64 sine of pi r / n itself loses accuracy to the
+    # rounding of pi, by up to about r ulps; even one ulp off in an entry
+    # such as sin(pi/4) biases every value read at that node, and the
+    # higher-order combination, whose coefficients reach |c| ~ 6 at d = 3,
+    # turns such biases into visible noise in its surpluses.
+    r = np.arange(2 * n) % n
+    quadrant = np.minimum(r, n - r).astype(np.longdouble)
+    table = np.sin(_PI / n * quadrant).astype(np.float64)
+    table[n:] *= -1.0
+    table[n] = 0.0
+    table.setflags(write=False)
+    return table
+
+
+def _sine_rows(m: int, nodes: np.ndarray) -> np.ndarray:
+    """Rows of the m x m sine matrix extended to node indices 0 .. m+1: row
+    i is sin(i k pi / (m+1)) for k = 1 .. m, zero at the boundary nodes."""
+    n = m + 1
+    index = np.multiply.outer(nodes, np.arange(1, n))
+    # On a dyadic grid 2n is a power of two, and a mask is far cheaper than %.
+    if n & m:
+        np.remainder(index, 2 * n, out=index)
+    else:
+        np.bitwise_and(index, 2 * n - 1, out=index)
+    return _sine_table(n).take(index)
+
+
 @lru_cache(maxsize=None)
 def _sine_matrix(m: int) -> np.ndarray:
     # Symmetric matrix of discrete sine modes: S[j, k] = sin((j+1)(k+1) pi / (m+1)).
-    j = np.arange(1, m + 1)
-    return np.sin(np.pi / (m + 1) * np.outer(j, j))
+    matrix = _sine_rows(m, np.arange(1, m + 1))
+    matrix.setflags(write=False)
+    return matrix
 
 
 def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
@@ -148,26 +194,87 @@ def inverse_sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     return (2.0 / (m + 1)) * sine_transform(a, axis)
 
 
+@lru_cache(maxsize=None)
 def _eigenvalues_1d(level: int) -> np.ndarray:
     # Eigenvalues of the 1D second-difference operator (u'' convention, so
     # negative): -4 sin^2(k pi h / 2) / h^2 for k = 1 .. 2**level - 1.
     h = 2.0 ** -level
     k = np.arange(1, 2 ** level)
-    return -4.0 * np.sin(np.pi * k * h / 2.0) ** 2 / h ** 2
+    out = -4.0 * np.sin(np.pi * k * h / 2.0) ** 2 / h ** 2
+    out.setflags(write=False)
+    return out
 
 
-def _fast_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
-    work = np.asarray(f_int, dtype=np.float64)
-    for axis in range(level.dim):
-        work = sine_transform(work, axis)
+def _sine_coefficients(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
+    """Sine coefficients of the discrete solution for interior data ``f_int``.
+
+    Applying :func:`sine_transform` along every direction to the result gives
+    the interior nodal values. A direction at level 1 has one interior node
+    and a 1x1 sine matrix equal to the identity, so it is not transformed.
+    ``f_int`` is not modified.
+    """
+    work = f_int
+    for axis, v in enumerate(level):
+        if v > 1:
+            work = sine_transform(work, axis)
     # The inverse transforms' factors 2/(m+1) = 2**(1-l) multiply into one
     # power of two on the denominator, which scales every rounding exactly.
     scale = 2.0 ** (sum(level) - level.dim)
     denom = reduce(np.add, np.ix_(*[scale * _eigenvalues_1d(v) for v in level]))
+    if work is f_int:
+        return work / denom
     np.divide(work, denom, out=work)
-    for axis in range(level.dim):
-        work = sine_transform(work, axis)
     return work
+
+
+def _fast_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
+    work = _sine_coefficients(f_int, level)
+    for axis, v in enumerate(level):
+        if v > 1:
+            work = sine_transform(work, axis)
+    return work
+
+
+def _interpolate_coefficients(
+    coeffs: np.ndarray, level: LevelIndex, cells: np.ndarray, fracs: np.ndarray
+) -> np.ndarray:
+    """Values of the multilinear interpolant of the grid with sine coefficients
+    ``coeffs`` at the points with the given cells and fractions.
+
+    A point's weight vector in direction j is (1 - t) s(c) + t s(c + 1), s(i)
+    being row i of the sine matrix. The longest direction is contracted
+    first, with one matrix-vector product per distinct node the points need,
+    shared by all points and followed by a per-point blend; every other
+    direction is one stacked product over the points. Each point runs the
+    same fixed-shape operations, so its value does not depend on the other
+    points.
+    """
+    k = len(cells)
+    a = level.index(max(level))
+    rest = [j for j in range(level.dim) if j != a]
+    corners = cells[:, a].tolist()
+    nodes = np.array(sorted({*corners, *(c + 1 for c in corners)}))
+    m = 2 ** level[a] - 1
+    mat = coeffs.transpose(rest + [a]).reshape(-1, m)
+    # The sine rows are built for a block of nodes at a time, so that they
+    # never take more room than the grid (or 2**14 entries).
+    block = max(mat.size, 2 ** 14) // m
+    partial = np.concatenate([
+        np.matmul(mat, _sine_rows(m, nodes[i : i + block])[:, :, None])[:, :, 0]
+        for i in range(0, len(nodes), block)
+    ])
+    lo = np.searchsorted(nodes, cells[:, a])
+    t = fracs[:, a, None]
+    work = (1.0 - t) * partial[lo]
+    work += t * partial[lo + 1]
+    for j in reversed(rest):
+        t = fracs[:, j, None]
+        m = 2 ** level[j] - 1
+        rows = _sine_rows(m, cells[:, j] + np.array([[0], [1]]))
+        weights = (1.0 - t) * rows[0]
+        weights += t * rows[1]
+        work = np.matmul(work.reshape(k, -1, m), weights[:, :, None])
+    return work.reshape(k)
 
 
 def _stencil_interior(full: np.ndarray, inv_h2: tuple[float, ...]) -> np.ndarray:
@@ -231,6 +338,17 @@ def _cg_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
     return sol.reshape(shape)
 
 
+def _solvable_level(p: ProblemSpec, l) -> LevelIndex:
+    level = LevelIndex(l)
+    if p.dim != level.dim:
+        raise ValueError(f"problem is {p.dim}-dimensional, level {tuple(level)}")
+    if any(v == 0 for v in level):
+        raise DegenerateGridError(
+            f"degenerate grid {tuple(level)}: no interior node in some direction"
+        )
+    return level
+
+
 def solve_poisson(
     p: ProblemSpec, l, method: str = "fast"
 ) -> tuple[GridFunction, SolverReport]:
@@ -247,13 +365,7 @@ def solve_poisson(
     (max l_j >= ~12) the measurement itself saturates near
     eps * sum_k h_k^-2 * (1 + max|u_h|) even though the solution is accurate.
     """
-    level = LevelIndex(l)
-    if p.dim != level.dim:
-        raise ValueError(f"problem is {p.dim}-dimensional, level {tuple(level)}")
-    if any(v == 0 for v in level):
-        raise DegenerateGridError(
-            f"degenerate grid {tuple(level)}: no interior node in some direction"
-        )
+    level = _solvable_level(p, l)
     if method not in ("fast", "cg"):
         raise ValueError(f"unknown solver method {method!r}")
 
@@ -267,6 +379,24 @@ def solve_poisson(
         level=level, solve_seconds=time.perf_counter() - t0, rhs=f_int, grid=grid
     )
     return grid, report
+
+
+def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
+    """Values at ``x`` of the multilinear interpolant of the fast solution on
+    the grid at level ``l``, without forming the nodal grid.
+
+    ``x`` is one point or a (K, d) array of points; K values are returned.
+    The solve is the one :func:`solve_poisson` makes up to its sine
+    coefficients; the inverse transforms are replaced by a contraction of
+    the coefficients with each point's interpolation weights. The values
+    agree with ``multilinear_eval(solve_poisson(p, l)[0], x)`` to rounding,
+    and each one is bit-identical whatever other points are evaluated with
+    it.
+    """
+    level = _solvable_level(p, l)
+    pts = _checked_points(x, level.dim)
+    coeffs = _sine_coefficients(_sample_interior_rhs(p, level), level)
+    return _interpolate_coefficients(coeffs, level, *_cell_coordinates(level, pts))
 
 
 def apply_operator(g: GridFunction) -> GridFunction:

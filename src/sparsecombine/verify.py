@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .combine import extrapolation_weights, ho_plan, per_level_mass
+from .combine import extrapolation_weights
 from .grid import Point
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "synthetic_expansion_check",
     "residual_bound",
     "random_expansion",
-    "check_hosg_vs_bl_export",
 ]
 
 
@@ -341,22 +340,3 @@ def random_expansion(d: int, seed: int) -> SyntheticExpansion:
         dim=d, base=base, beta=beta, gamma=gamma, gamma_bound=1.5 * max_amp
     )
 
-
-def check_hosg_vs_bl_export(d: int, n: int) -> bool:
-    """Cross-check the higher-order plan's per-diagonal coefficient masses.
-
-    Verifies exactly that the exported per-|l| masses sum to the plan's total
-    coefficient mass (which is 1), and that the support spans the expected
-    diagonals n .. n+2d-1.
-    """
-    if not (1 <= d <= 4 and 1 <= n <= 6):
-        raise ValueError("export check supports 1 <= d <= 4, 1 <= n <= 6")
-    plan = ho_plan(d, n)
-    masses = per_level_mass(plan)
-    total = sum(masses.values(), Fraction(0))
-    if total != plan.coefficient_sum() or total != 1:
-        return False
-    diagonals = sorted(masses)
-    if min(diagonals) < n or max(diagonals) != n + 2 * d - 1:
-        return False
-    return True

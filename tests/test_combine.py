@@ -29,7 +29,12 @@ from sparsecombine.combine import (
     surplus_order,
 )
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
-from sparsecombine.pde import ProblemSpec, builtin_sine_problem, solve_poisson
+from sparsecombine.pde import (
+    ProblemSpec,
+    builtin_sine_problem,
+    solve_at_points,
+    solve_poisson,
+)
 
 from oracles import (
     ho_plan_by_accumulation,
@@ -333,8 +338,13 @@ def test_singleton_plan_matches_direct_solve():
     x = (0.3, 0.7)
     plan = CombinationPlan(2, {(5, 4): 1})
     res = evaluate_plan(p, plan, x)
+    # Plan evaluation reads the grid's value from its sine coefficients, so it
+    # equals the point path bit for bit and the interpolated nodal grid to
+    # rounding (measured worst 9e-16 * max|u| over random levels, d <= 4).
+    assert res.value == solve_at_points(p, (5, 4), x)[0]
     u, _ = solve_poisson(p, (5, 4))
-    assert res.value == multilinear_eval(u, x)
+    tol = 1e-13 * np.max(np.abs(u.values))
+    assert abs(res.value - multilinear_eval(u, x)) <= tol
     assert res.dof_total == LevelIndex((5, 4)).node_count()
     assert res.dof_unique == res.dof_total
     assert res.grids_solved == 1
@@ -621,8 +631,11 @@ def test_study_values_match_direct_evaluation():
     x = default_eval_point(2)
     recs = hierarchical_surplus_study(p, "FG", 2, 5, n_min=3)
     for r in recs:
-        u, _ = solve_poisson(p, (r.n + 1, r.n + 1))
-        assert r.value == multilinear_eval(u, x)
+        level = (r.n + 1, r.n + 1)
+        assert r.value == solve_at_points(p, level, x)[0]
+        u, _ = solve_poisson(p, level)
+        tol = 1e-13 * np.max(np.abs(u.values))
+        assert abs(r.value - multilinear_eval(u, x)) <= tol
 
 
 def test_study_rejects_bad_inputs():

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from sparsecombine.combine import extrapolation_weights
+from sparsecombine.combine import extrapolation_weights, ho_plan, plan_to_dict
 from sparsecombine.verify import (
     IdentityReport,
     SyntheticExpansion,
     check_cancellation_system,
-    check_hosg_vs_bl_export,
     check_lemma_cancel,
     check_normalization,
     default_expansion_point,
@@ -235,19 +234,20 @@ def test_random_expansion_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# High-order plan export cross-check
+# High-order plan export: per-diagonal masses
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_hosg_export_consistency(d, n):
-    assert check_hosg_vs_bl_export(d, n)
+    export = plan_to_dict(ho_plan(d, n))
+    masses = export["level_mass"]
+    assert sum(map(Fraction, masses.values())) == 1
+    assert export["coefficient_sum"] == "1/1"
+    diagonals = sorted(int(t) for t in masses)
+    assert diagonals[0] == n and diagonals[-1] == n + 2 * d - 1
 
 
 def test_hosg_export_preconditions():
     with pytest.raises(ValueError):
-        check_hosg_vs_bl_export(5, 2)
-    with pytest.raises(ValueError):
-        check_hosg_vs_bl_export(2, 0)
-    with pytest.raises(ValueError):
-        check_hosg_vs_bl_export(2, 7)
+        ho_plan(2, 0)
