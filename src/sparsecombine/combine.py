@@ -3,8 +3,10 @@
 A plan is a signed rational measure on level multi-indices: solve the PDE on
 every grid in the plan's support, take each solution's interpolated values at
 the evaluation points, and accumulate coefficient-weighted values. A grid's
-values are read from its sine coefficients (``pde.solve_at_points``), so no
-nodal grid is formed and only K floats per grid outlive the solve.
+values are read from its sine coefficients (``pde.solve_at_points``: one
+inverse transform along the grid's longest direction, then per-point weights
+in the others), so no nodal grid is formed and only K floats per grid
+outlive the solve.
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
 sorted level order so results are bit-identical regardless of caching,
@@ -36,10 +38,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-# multilinear_eval and solve_poisson are not called here (plan evaluation
-# reads grid values through solve_at_points); they stay module attributes
-# because outside-in instrumentation, the benchmark's span hooks, resolves
-# them on this module.
+# Stopgap: multilinear_eval and solve_poisson are not called here (plan
+# evaluation reads grid values through solve_at_points). They stay module
+# attributes only because the benchmark's span hooks (bench/spans.py) resolve
+# them on this module and its smoke check fails on a missing hook; those
+# hooks therefore count 0 calls on the study path. Delete both imports in
+# the benchmark change that re-points the hooks to solve_at_points (open as a
+# FOUND line in CHANGES.md).
 from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
 from .pde import ProblemSpec, solve_at_points, solve_poisson  # noqa: F401
 

@@ -12,14 +12,17 @@ The forward transforms and the division give the solution's sine
 coefficients; ``solve_poisson`` turns them into the nodal grid with the
 inverse transforms. ``solve_at_points`` never forms that grid: the
 multilinear interpolant is linear in the nodal values and every nodal value
-is a sine sum, so its value at a point is the coefficients contracted with
-one weight vector per direction.
+is a sine sum. It applies one inverse transform, along the longest
+direction, blends each point's two node rows there and contracts the other
+directions' coefficients with one sine weight vector per point and
+direction.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Optional
 
@@ -130,25 +133,70 @@ def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
     return [np.arange(1, 2 ** v) * (2.0 ** -v) for v in level]
 
 
-# pi in extended precision where the platform's long double has it (the
-# float64 pi plus its rounding error); elsewhere this is the float64 pi.
-_PI = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)
+# pi as the sum of two doubles: the float64 pi and its rounding error.
+_PI = (np.pi, 1.2246467991473532e-16)
 
 
-@lru_cache(maxsize=None)
+def _double_double(q: Fraction) -> tuple[float, float]:
+    hi = float(q)
+    return hi, float(q - Fraction(hi))
+
+
+# 1 / ((2k)(2k+1)) for k = 17 .. 1: the Horner factors of the sine series,
+# which on [0, pi/2] is exact to 1e-36 after these terms.
+_SINE_SERIES = [_double_double(Fraction(1, 2 * k * (2 * k + 1))) for k in range(17, 0, -1)]
+
+
+def _split(a):
+    # a = hi + lo with both halves at most 26 bits wide (Dekker).
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _dd_mul(x, y):
+    """Product of two double-doubles (hi, lo), to about 2**-104 relative."""
+    (xh, xl), (yh, yl) = x, y
+    p = xh * yh
+    (ah, al), (bh, bl) = _split(xh), _split(yh)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += xh * yl + xl * yh
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _sine_quadrant(n: int) -> np.ndarray:
+    """sin(pi q / n) for q = 0 .. n // 2, correctly rounded.
+
+    The angles and the sine series are summed in double-double arithmetic,
+    which uses only IEEE additions and multiplications and so gives the
+    same bits on every platform. A float64 sine of pi q / n loses accuracy
+    to the rounding of pi, by up to about q ulps; even one ulp off in an
+    entry such as sin(pi/4) biases every value read at that node, and the
+    higher-order combination, whose coefficients reach |c| ~ 6 at d = 3,
+    turns such biases into visible noise in its surpluses.
+    """
+    q = np.arange(n // 2 + 1, dtype=np.float64)
+    u_hi = q / n
+    p, e = _dd_mul((u_hi, 0.0), (float(n), 0.0))
+    x = _dd_mul(_PI, (u_hi, ((q - p) - e) / n))
+    x2 = _dd_mul(x, x)
+    series = (np.ones_like(q), np.zeros_like(q))
+    for factor in _SINE_SERIES:
+        t_hi, t_lo = _dd_mul(_dd_mul(x2, series), factor)
+        hi = 1.0 - t_hi
+        lo = ((1.0 - hi) - t_hi) - t_lo
+        series = (hi + lo, lo - ((hi + lo) - hi))
+    return _dd_mul(x, series)[0]
+
+
+@lru_cache(maxsize=32)
 def _sine_table(n: int) -> np.ndarray:
-    # sin(pi r / n) for r = 0 .. 2n-1, with exact zeros at r = 0 and r = n.
-    # Each entry is the sine of its first-quadrant argument pi min(r, n-r)/n
-    # (r taken mod n, the sign restored), evaluated in long double and
-    # rounded once. A float64 sine of pi r / n itself loses accuracy to the
-    # rounding of pi, by up to about r ulps; even one ulp off in an entry
-    # such as sin(pi/4) biases every value read at that node, and the
-    # higher-order combination, whose coefficients reach |c| ~ 6 at d = 3,
-    # turns such biases into visible noise in its surpluses.
-    r = np.arange(2 * n) % n
-    quadrant = np.minimum(r, n - r).astype(np.longdouble)
-    table = np.sin(_PI / n * quadrant).astype(np.float64)
-    table[n:] *= -1.0
+    # sin(pi r / n) for r = 0 .. 2n-1, built from the first quadrant by the
+    # symmetries of the sine, with exact zeros at r = 0 and r = n.
+    quadrant = _sine_quadrant(n)
+    half = np.concatenate([quadrant, quadrant[(n - 1) // 2 : 0 : -1]])
+    table = np.concatenate([half, -half])
     table[n] = 0.0
     table.setflags(write=False)
     return table
@@ -159,11 +207,7 @@ def _sine_rows(m: int, nodes: np.ndarray) -> np.ndarray:
     i is sin(i k pi / (m+1)) for k = 1 .. m, zero at the boundary nodes."""
     n = m + 1
     index = np.multiply.outer(nodes, np.arange(1, n))
-    # On a dyadic grid 2n is a power of two, and a mask is far cheaper than %.
-    if n & m:
-        np.remainder(index, 2 * n, out=index)
-    else:
-        np.bitwise_and(index, 2 * n - 1, out=index)
+    np.remainder(index, 2 * n, out=index)
     return _sine_table(n).take(index)
 
 
@@ -241,40 +285,47 @@ def _interpolate_coefficients(
     """Values of the multilinear interpolant of the grid with sine coefficients
     ``coeffs`` at the points with the given cells and fractions.
 
-    A point's weight vector in direction j is (1 - t) s(c) + t s(c + 1), s(i)
-    being row i of the sine matrix. The longest direction is contracted
-    first, with one matrix-vector product per distinct node the points need,
-    shared by all points and followed by a per-point blend; every other
-    direction is one stacked product over the points. Each point runs the
-    same fixed-shape operations, so its value does not depend on the other
-    points.
+    The longest direction is turned into nodal values by one sine transform,
+    shared by all points, and each point blends the two node rows around it.
+    In every other direction j a point's weight vector is
+    (1 - t) s(c) + t s(c + 1), s(i) being row i of the sine matrix (zero at
+    the boundary nodes), contracted by one stacked product over the points.
+    Each point runs the same fixed-shape operations, so its value does not
+    depend on the other points. Points are taken in chunks whose work arrays
+    are no larger than the grid (or 2**14 entries), whatever their number.
     """
-    k = len(cells)
     a = level.index(max(level))
-    rest = [j for j in range(level.dim) if j != a]
-    corners = cells[:, a].tolist()
-    nodes = np.array(sorted({*corners, *(c + 1 for c in corners)}))
     m = 2 ** level[a] - 1
-    mat = coeffs.transpose(rest + [a]).reshape(-1, m)
-    # The sine rows are built for a block of nodes at a time, so that they
-    # never take more room than the grid (or 2**14 entries).
-    block = max(mat.size, 2 ** 14) // m
-    partial = np.concatenate([
-        np.matmul(mat, _sine_rows(m, nodes[i : i + block])[:, :, None])[:, :, 0]
-        for i in range(0, len(nodes), block)
-    ])
-    lo = np.searchsorted(nodes, cells[:, a])
-    t = fracs[:, a, None]
-    work = (1.0 - t) * partial[lo]
-    work += t * partial[lo + 1]
-    for j in reversed(rest):
-        t = fracs[:, j, None]
-        m = 2 ** level[j] - 1
-        rows = _sine_rows(m, cells[:, j] + np.array([[0], [1]]))
-        weights = (1.0 - t) * rows[0]
-        weights += t * rows[1]
-        work = np.matmul(work.reshape(k, -1, m), weights[:, :, None])
-    return work.reshape(k)
+    # Values at the interior nodes 1 .. m of the longest direction (moved to
+    # the front), over the sine coefficients of the others.
+    nodal = np.moveaxis(sine_transform(coeffs, a) if m > 1 else coeffs, a, 0)
+    rest = [j for j in range(level.dim) if j != a]
+    per_point = (-1,) + (1,) * len(rest)
+    step = max(nodal.size, 2 ** 14) * m // nodal.size
+    out = np.empty(len(cells))
+    for start in range(0, len(cells), step):
+        c = cells[start : start + step]
+        f = fracs[start : start + step]
+        k = len(c)
+        # Each point blends its two node rows. Indexing gives fresh C-ordered
+        # rows whatever the number of points (a strided view can send a lone
+        # point's np.matmul down another summation path). The boundary nodes
+        # 0 and m + 1 hold 0, so their weights are zeroed.
+        work = nodal[np.maximum(c[:, a] - 1, 0)]
+        work *= np.where(c[:, a] > 0, 1.0 - f[:, a], 0.0).reshape(per_point)
+        upper = nodal[np.minimum(c[:, a], m - 1)]
+        upper *= np.where(c[:, a] < m, f[:, a], 0.0).reshape(per_point)
+        work += upper
+        del upper
+        for j in reversed(rest):
+            t = f[:, j, None]
+            mj = 2 ** level[j] - 1
+            rows = _sine_rows(mj, c[:, j] + np.array([[0], [1]]))
+            weights = (1.0 - t) * rows[0]
+            weights += t * rows[1]
+            work = np.matmul(work.reshape(k, -1, mj), weights[:, :, None])
+        out[start : start + k] = work.reshape(k)
+    return out
 
 
 def _stencil_interior(full: np.ndarray, inv_h2: tuple[float, ...]) -> np.ndarray:
@@ -387,11 +438,15 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
 
     ``x`` is one point or a (K, d) array of points; K values are returned.
     The solve is the one :func:`solve_poisson` makes up to its sine
-    coefficients; the inverse transforms are replaced by a contraction of
-    the coefficients with each point's interpolation weights. The values
-    agree with ``multilinear_eval(solve_poisson(p, l)[0], x)`` to rounding,
-    and each one is bit-identical whatever other points are evaluated with
-    it.
+    coefficients. Of the inverse transforms only the one along the longest
+    direction is applied; the other directions are contracted with each
+    point's interpolation weights. The values agree with
+    ``multilinear_eval(solve_poisson(p, l)[0], x)`` to rounding, and each
+    one is bit-identical whatever other points are evaluated with it. Points
+    are taken in chunks, so temporaries stay within a few times the grid's
+    interior size for any K; the per-point work is about the grid's size
+    divided by its longest direction's node count, so for K far above that
+    count the nodal grid of :func:`solve_poisson` is the cheaper route.
     """
     level = _solvable_level(p, l)
     pts = _checked_points(x, level.dim)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -82,6 +83,42 @@ def test_direct_and_fft_paths_agree():
 
         fft_way = 0.5 * scipy.fft.dst(v, type=1)
         np.testing.assert_allclose(sine_transform(v, axis=0), fft_way, atol=1e-11)
+
+
+# pi to 60 digits, for reference sines in decimal arithmetic.
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def _reference_sine(q, n):
+    # sin(pi q / n) from its Taylor series in 60-digit decimal arithmetic.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(_PI_DIGITS) * q / n
+        term, total, k = x, x, 1
+        while abs(term) > decimal.Decimal(10) ** -55:
+            term = -term * x * x / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 12, 33, 64, 65, 256, 1024])
+def test_sine_table_correctly_rounded(n):
+    # Every entry of the table behind the sine matrix and the sine rows is
+    # sin(pi r / n) correctly rounded, computed with IEEE arithmetic only
+    # (no extended precision), with exact zeros at r = 0 and r = n.
+    import sparsecombine.pde as pde
+
+    table = pde._sine_table(n)
+    assert table.shape == (2 * n,)
+    quadrant = [_reference_sine(q, n) for q in range(n // 2 + 1)]
+    assert table[: n // 2 + 1].tolist() == quadrant
+    r = np.arange(2 * n)
+    expected = np.where(r < n, 1.0, -1.0) * np.array(quadrant)[np.minimum(r % n, n - r % n)]
+    assert table.tolist() == expected.tolist()
+    assert table[0] == 0.0 and table[n] == 0.0
+    if n % 4 == 0:
+        assert table[n // 4] == math.sqrt(0.5)  # sqrt is correctly rounded
 
 
 def test_transform_diagonalizes_second_difference():
@@ -297,6 +334,27 @@ def test_point_values_independent_of_point_set(levels, seed):
 
     u, _ = solve_poisson(p, levels)
     # Measured worst deviation over 400 such draws: 9e-16 * max|u|.
+    scale = float(np.max(np.abs(u.values)))
+    deviation = float(np.max(np.abs(together - multilinear_eval(u, pts))))
+    assert deviation <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("level", [(8, 7), (6, 5, 4)])
+def test_point_values_independent_of_chunking(level):
+    # Many points are evaluated a chunk at a time, each chunk's work arrays
+    # no larger than the grid; here several chunks are needed, and every
+    # point still gets the bits it gets alone, in any order. Measured worst
+    # deviation from the interpolated grid: 9e-16 * max|u|.
+    rng = np.random.default_rng(sum(level))
+    p = _wavy_problem(len(level), 3)
+    pts = rng.uniform(0.0, 1.0, size=(700, len(level)))
+    pts[::50] = [rng.integers(0, 2 ** v + 1) / 2 ** v for v in level]
+    together = solve_at_points(p, level, pts)
+    order = rng.permutation(len(pts))
+    assert solve_at_points(p, level, pts[order]).tolist() == together[order].tolist()
+    for i in range(0, len(pts), 97):
+        assert solve_at_points(p, level, pts[i]).tolist() == [together[i]]
+    u, _ = solve_poisson(p, level)
     scale = float(np.max(np.abs(u.values)))
     deviation = float(np.max(np.abs(together - multilinear_eval(u, pts))))
     assert deviation <= 1e-13 * scale
