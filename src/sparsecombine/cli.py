@@ -245,9 +245,28 @@ def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
         plan = ho_plan(d, n)
     else:
         raise ValueError(f"unknown plan kind {kind!r}; expected 'standard' or 'ho'")
-    json.dump(plan_to_dict(plan, n=n), out, indent=2)
-    out.write("\n")
+    _write_plan_json(plan_to_dict(plan, n=n), out)
     return EXIT_OK
+
+
+def _write_plan_json(payload: dict, out: TextIO) -> None:
+    # Writes exactly the bytes of json.dump(payload, out, indent=2) plus a
+    # newline for a plan_to_dict payload, but one write per term: with indent
+    # set, json runs its pure-Python encoder at one write per token. Terms are
+    # never joined into one string, so memory stays bounded by the plan. json
+    # lays out everything else; the first '"terms": []' in its text is the key,
+    # because a quote inside an encoded string is always escaped.
+    head, _, tail = json.dumps({**payload, "terms": []}, indent=2).partition('"terms": []')
+    out.write(head + '"terms": [')
+    sep = "\n"
+    for term in payload["terms"]:
+        out.write(
+            sep + '    {\n      "levels": [\n        '
+            + ",\n        ".join(map(str, term["levels"]))
+            + '\n      ],\n      "coeff": "' + term["coeff"] + '"\n    }'
+        )
+        sep = ",\n"
+    out.write(("\n  ]" if payload["terms"] else "]") + tail + "\n")
 
 
 def cmd_solve(

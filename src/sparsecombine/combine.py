@@ -271,12 +271,22 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
 
 
 def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
-    """Total coefficient mass per diagonal |l|_1 (exact)."""
-    masses: dict[int, Fraction] = {}
+    """Total coefficient mass per diagonal |l|_1, in increasing |l|_1.
+
+    The sum is exact over integer numerators: each diagonal adds the
+    numerators of its coefficients per distinct denominator, and only those
+    few partial sums become Fractions. A diagonal that cancels keeps its
+    entry, with mass 0.
+    """
+    numerators: dict[int, dict[int, int]] = {}
     for lv, coeff in plan.terms.items():
-        t = sum(lv)
-        masses[t] = masses.get(t, Fraction(0)) + coeff
-    return dict(sorted(masses.items()))
+        num, den = coeff.as_integer_ratio()
+        by_den = numerators.setdefault(sum(lv), {})
+        by_den[den] = by_den.get(den, 0) + num
+    return {
+        t: sum((Fraction(num, den) for den, num in numerators[t].items()), Fraction(0))
+        for t in sorted(numerators)
+    }
 
 
 def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:

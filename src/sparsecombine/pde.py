@@ -27,8 +27,6 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.fft
-import scipy.sparse.linalg
 
 from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
 
@@ -219,6 +217,15 @@ def _sine_matrix(m: int) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=None)
+def _scipy_fft():
+    # Imported at the first FFT-path transform, so plans and identity checks
+    # never load scipy.
+    import scipy.fft
+
+    return scipy.fft
+
+
 def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     """Forward discrete sine transform along ``axis``.
 
@@ -229,7 +236,7 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     if m <= DIRECT_TRANSFORM_MAX:
         moved = np.moveaxis(a, axis, -1)
         return np.moveaxis(moved @ _sine_matrix(m), -1, axis)
-    return 0.5 * scipy.fft.dst(a, type=1, axis=axis)
+    return 0.5 * _scipy_fft().dst(a, type=1, axis=axis)
 
 
 def inverse_sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
@@ -362,6 +369,8 @@ def _sample_interior_rhs(p: ProblemSpec, level: LevelIndex) -> np.ndarray:
 
 
 def _cg_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
+    import scipy.sparse.linalg  # only the CG solver needs scipy.sparse
+
     inv_h2 = tuple(4.0 ** v for v in level)
     shape = f_int.shape
     n = f_int.size

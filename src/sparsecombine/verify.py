@@ -138,6 +138,13 @@ def check_lemma_cancel(
     rng = random.Random(seed)
     bit_vectors = list(product((0, 1), repeat=d))
     table_keys = list(product((0, 1), repeat=d - 1))
+    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float,
+    # paired with the table key b_1..b_{d-1}; the float terms keep the
+    # left-to-right product (alpha * 4**(-b_0)) * beta. The two weights
+    # sharing a key stay separate terms: alpha_k + alpha_{k+1}/4 = 0, so
+    # folding them would make the check vacuous.
+    weights_q = [(alpha[sum(b)] * Fraction(1, 4 ** b[0]), b[1:]) for b in bit_vectors]
+    weights_f = [(alpha_f[sum(b)] * 0.25 ** b[0], b[1:]) for b in bit_vectors]
 
     worst_rational = Fraction(0)
     for _ in range(trials):
@@ -146,18 +153,16 @@ def check_lemma_cancel(
             for key in table_keys
         }
         total = Fraction(0)
-        for bits in bit_vectors:
-            k = sum(bits)
-            total += alpha[k] * Fraction(1, 4 ** bits[0]) * beta[bits[1:]]
+        for c, key in weights_q:
+            total += c * beta[key]
         worst_rational = max(worst_rational, abs(total))
 
     worst_float = 0.0
     for _ in range(trials):
         beta_f = {key: rng.uniform(-1.0, 1.0) for key in table_keys}
         total_f = 0.0
-        for bits in bit_vectors:
-            k = sum(bits)
-            total_f += alpha_f[k] * 0.25 ** bits[0] * beta_f[bits[1:]]
+        for c, key in weights_f:
+            total_f += c * beta_f[key]
         worst_float = max(worst_float, abs(total_f))
 
     float_tol = 1e-12 * 2 ** d

@@ -11,6 +11,7 @@ between the package and these slower routes is what the tests assert.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -18,6 +19,8 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+
+from sparsecombine.verify import IdentityReport
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,58 @@ def double_sum_ho(p, d: int, n: int, x, level_shift: int = 0, solve=None) -> flo
                 refined = tuple(v + b for v, b in zip(shifted, bits))
                 total += float(a[i] * alpha[sum(bits)]) * value_at(refined)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Exact per-diagonal mass and the randomized telescoping check
+
+
+def level_mass_by_fraction_sum(terms) -> dict[int, Fraction]:
+    """Coefficient mass per diagonal |l|_1, one Fraction addition per term,
+    in increasing |l|_1; a diagonal that cancels keeps its entry."""
+    masses: dict[int, Fraction] = {}
+    for lv, coeff in terms.items():
+        t = sum(lv)
+        masses[t] = masses.get(t, Fraction(0)) + coeff
+    return dict(sorted(masses.items()))
+
+
+def lemma_cancel_literal(d: int, trials: int = 100, seed: int = 0):
+    """The randomized telescoping check as a literal triple loop over trials,
+    bit vectors and weights, with weights from elimination. Returns the
+    IdentityReport the package's check must equal field for field."""
+    alpha = weights_by_elimination(d)
+    alpha_f = [float(a) for a in alpha]
+    rng = random.Random(seed)
+    bit_vectors = list(product((0, 1), repeat=d))
+    table_keys = list(product((0, 1), repeat=d - 1))
+
+    worst_rational = Fraction(0)
+    for _ in range(trials):
+        beta = {
+            key: Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+            for key in table_keys
+        }
+        total = Fraction(0)
+        for bits in bit_vectors:
+            k = sum(bits)
+            total += alpha[k] * Fraction(1, 4 ** bits[0]) * beta[bits[1:]]
+        worst_rational = max(worst_rational, abs(total))
+
+    worst_float = 0.0
+    for _ in range(trials):
+        beta_f = {key: rng.uniform(-1.0, 1.0) for key in table_keys}
+        total_f = 0.0
+        for bits in bit_vectors:
+            k = sum(bits)
+            total_f += alpha_f[k] * 0.25 ** bits[0] * beta_f[bits[1:]]
+        worst_float = max(worst_float, abs(total_f))
+
+    passed = worst_rational == 0 and worst_float <= 1e-12 * 2 ** d
+    defect = worst_rational if worst_rational != 0 else worst_float
+    return IdentityReport(
+        d=d, identity="lemma_cancel", max_abs_defect=defect, passed=passed, seed=seed
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sparsecombine
 from sparsecombine.cli import (
     BUDGET_ENV_VAR,
     CSV_FIELDS,
@@ -19,8 +24,18 @@ from sparsecombine.cli import (
     cmd_verify,
     main,
     write_records_csv,
+    _write_plan_json,
 )
-from sparsecombine.combine import ConvergenceRecord
+from sparsecombine.combine import (
+    CombinationPlan,
+    ConvergenceRecord,
+    extrapolation_plan,
+    ho_plan,
+    plan_to_dict,
+    standard_plan,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_main(argv):
@@ -276,6 +291,65 @@ def test_cmd_plan_stream():
     assert cmd_plan(2, 3, "standard", stream=buf) == EXIT_OK
     payload = json.loads(buf.getvalue())
     assert payload["coefficient_sum"] == "1/1"
+
+
+def json_dump_bytes(plan, n):
+    # The export format: json.dump(plan_to_dict(...), indent=2) and a newline.
+    return json.dumps(plan_to_dict(plan, n=n), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind, d, n", [
+    *(("standard", d, n) for d in range(1, 7) for n in range(7)),
+    *(("ho", d, n) for d in range(1, 6) for n in range(1, 6)),
+])
+def test_cmd_plan_writes_json_dump_bytes(kind, d, n):
+    buf = io.StringIO()
+    assert cmd_plan(d, n, kind, stream=buf) == EXIT_OK
+    plan = standard_plan(d, n) if kind == "standard" else ho_plan(d, n)
+    assert buf.getvalue() == json_dump_bytes(plan, n)
+
+
+@pytest.mark.parametrize("plan, n", [
+    (extrapolation_plan((2, 1)), 3),
+    (extrapolation_plan((0, 4, 1)), None),
+    # Escaped label, mixed denominators, a diagonal that cancels to 0, n=None.
+    (CombinationPlan(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-1, 3), (2, 0): 7,
+                         (1, 1): Fraction(-5, 6)}, label='q"b\\s\nä'), None),
+    (CombinationPlan(3, {}, label="empty"), 2),
+])
+def test_plan_writer_matches_json_dump(plan, n):
+    buf = io.StringIO()
+    _write_plan_json(plan_to_dict(plan, n=n), buf)
+    assert buf.getvalue() == json_dump_bytes(plan, n)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["plan", "--kind", "ho", "--dim", "2", "--n", "2"], "plan_ho_d2_n2.json"),
+    (["plan", "--kind", "standard", "--dim", "3", "--n", "2"], "plan_standard_d3_n2.json"),
+    (["verify", "--d-max", "8"], "verify_d8.txt"),
+])
+def test_stdout_matches_golden_file(argv, golden, capsys):
+    assert run_main(argv) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+def test_plan_and_verify_do_not_import_scipy():
+    # A fresh interpreter: in this process test plugins may have loaded scipy.
+    code = (
+        "import contextlib, io, sys\n"
+        "from sparsecombine.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['plan', '--dim', '2', '--n', '2']),"
+        " main(['verify', '--d-max', '2'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(sparsecombine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[0, 0] []\n"
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from sparsecombine.pde import (
 
 from oracles import (
     ho_plan_by_accumulation,
+    level_mass_by_fraction_sum,
     standard_coeffs,
     union_node_count,
     weights_by_elimination,
@@ -221,6 +222,32 @@ def test_ho_plan_level_mass_sums_to_one():
     mass = per_level_mass(plan)
     assert sum(mass.values()) == 1
     assert set(mass) <= set(range(2, 2 + 6))
+
+
+@pytest.mark.parametrize("plan", [
+    standard_plan(1, 0),
+    standard_plan(4, 3),
+    ho_plan(3, 2),
+    ho_plan(5, 4),
+    extrapolation_plan((2, 0, 3)),
+    # Mixed denominators, and a first diagonal that cancels to exactly 0.
+    CombinationPlan(3, {
+        (1, 0, 0): Fraction(2, 7), (0, 1, 0): Fraction(-1, 3), (0, 0, 1): Fraction(1, 21),
+        (2, 0, 0): Fraction(5, 6), (1, 1, 0): Fraction(-9, 10), (0, 0, 2): 3,
+        (3, 1, 0): Fraction(-1, 2**40),
+    }),
+])
+def test_per_level_mass_matches_fraction_sum(plan):
+    got = per_level_mass(plan)
+    want = level_mass_by_fraction_sum(plan.terms)
+    assert list(got.items()) == list(want.items())
+    assert all(type(m) is Fraction for m in got.values())
+
+
+def test_cancelled_diagonal_is_exported_as_zero():
+    plan = CombinationPlan(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-1, 3), (1, 1): 1})
+    assert per_level_mass(plan) == {1: 0, 2: 1}
+    assert plan_to_dict(plan)["level_mass"] == {"1": "0/1", "2": "1/1"}
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +663,15 @@ def test_study_values_match_direct_evaluation():
         u, _ = solve_poisson(p, level)
         tol = 1e-13 * np.max(np.abs(u.values))
         assert abs(r.value - multilinear_eval(u, x)) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_hosg_study_at_level_shift_zero_evaluates_unshifted_plan(n):
+    p = builtin_sine_problem(3)
+    x = default_eval_point(3)
+    (rec,) = hierarchical_surplus_study(p, "HOSG", 3, n, x, n_min=n, level_shift=0)
+    direct = evaluate_plan(p, ho_plan(3, n), x)
+    assert (rec.value, rec.dof_total) == (direct.value, direct.dof_total)
 
 
 def test_study_rejects_bad_inputs():

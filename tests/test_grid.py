@@ -44,7 +44,9 @@ def test_level_validation():
 
 
 def test_shifted():
-    assert LevelIndex((0, 3)).shifted(2) == (2, 5)
+    lv = LevelIndex((0, 3))
+    assert lv.shifted(2) == (2, 5)
+    assert type(lv.shifted(2)) is LevelIndex
 
 
 @given(

@@ -19,6 +19,8 @@ from sparsecombine.verify import (
 )
 from sparsecombine.combine import observed_order
 
+from oracles import lemma_cancel_literal
+
 
 # ---------------------------------------------------------------------------
 # Exact weight identities
@@ -55,6 +57,17 @@ def test_lemma_cancel_rational_exact(d):
     # All-rational defect must be exactly zero; the reported value is then
     # the float-path worst case, within its tolerance.
     assert float(rep.max_abs_defect) <= 1e-12 * 2 ** d
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lemma_cancel_matches_literal_triple_loop(d, seed):
+    # Hoisting the weights out of the trial loops keeps the RNG draw order,
+    # the exact rationals and the float rounding: the report is unchanged.
+    got = check_lemma_cancel(d, trials=100, seed=seed)
+    want = lemma_cancel_literal(d, trials=100, seed=seed)
+    assert got == want
+    assert type(got.max_abs_defect) is type(want.max_abs_defect)
 
 
 def test_lemma_cancel_seed_reproducible():
