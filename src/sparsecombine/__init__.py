@@ -47,6 +47,7 @@ from .combine import (
     projected_dof_total,
     standard_plan,
     surplus_order,
+    write_plan_json,
 )
 from .verify import (
     IdentityReport,
@@ -99,6 +100,7 @@ __all__ = [
     "plan_dof",
     "per_level_mass",
     "plan_to_dict",
+    "write_plan_json",
     "projected_dof_total",
     "observed_order",
     "surplus_order",

@@ -25,9 +25,17 @@ from .combine import (
     extrapolation_weights,
     hierarchical_surplus_study,
     ho_plan,
-    plan_to_dict,
     standard_plan,
+    write_plan_json,
 )
+
+# Stopgap: plan_to_dict is not called here (``plan`` writes its JSON through
+# write_plan_json). It stays a module attribute only because the benchmark's
+# span hook for the plan export (bench/spans.py) resolves it on this module
+# and its smoke check fails on a missing hook; that hook therefore times 0 s.
+# Delete the import in the benchmark change that re-points the hook to
+# write_plan_json (open as a FOUND line in CHANGES.md).
+from .combine import plan_to_dict  # noqa: F401
 from .grid import LevelIndex, multilinear_eval
 from .pde import builtin_sine_problem, solve_poisson
 from .verify import (
@@ -245,28 +253,8 @@ def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
         plan = ho_plan(d, n)
     else:
         raise ValueError(f"unknown plan kind {kind!r}; expected 'standard' or 'ho'")
-    _write_plan_json(plan_to_dict(plan, n=n), out)
+    write_plan_json(plan, out, n=n)
     return EXIT_OK
-
-
-def _write_plan_json(payload: dict, out: TextIO) -> None:
-    # Writes exactly the bytes of json.dump(payload, out, indent=2) plus a
-    # newline for a plan_to_dict payload, but one write per term: with indent
-    # set, json runs its pure-Python encoder at one write per token. Terms are
-    # never joined into one string, so memory stays bounded by the plan. json
-    # lays out everything else; the first '"terms": []' in its text is the key,
-    # because a quote inside an encoded string is always escaped.
-    head, _, tail = json.dumps({**payload, "terms": []}, indent=2).partition('"terms": []')
-    out.write(head + '"terms": [')
-    sep = "\n"
-    for term in payload["terms"]:
-        out.write(
-            sep + '    {\n      "levels": [\n        '
-            + ",\n        ".join(map(str, term["levels"]))
-            + '\n      ],\n      "coeff": "' + term["coeff"] + '"\n    }'
-        )
-        sep = ",\n"
-    out.write(("\n  ]" if payload["terms"] else "]") + tail + "\n")
 
 
 def cmd_solve(

@@ -23,18 +23,20 @@ reproduced.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import os
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -67,6 +69,7 @@ __all__ = [
     "plan_dof",
     "per_level_mass",
     "plan_to_dict",
+    "write_plan_json",
     "projected_dof_total",
     "observed_order",
     "surplus_order",
@@ -148,6 +151,19 @@ class CombinationPlan:
         object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "label", label)
 
+    @classmethod
+    def _from_sorted(
+        cls, dim: int, terms: dict[LevelIndex, Fraction], label: str
+    ) -> "CombinationPlan":
+        # For builder output only: ``terms`` already maps valid LevelIndex
+        # keys of dimension ``dim``, in sorted order, to nonzero Fractions,
+        # and the plan takes it over without the per-term checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "label", label)
+        return self
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CombinationPlan is immutable")
 
@@ -169,9 +185,11 @@ class CombinationPlan:
 
     def shifted(self, offset: int) -> "CombinationPlan":
         """The same plan with every level shifted by a constant offset."""
+        # A constant offset keeps the sorted order; LevelIndex still rejects
+        # a negative level.
         shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
         label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"
-        return CombinationPlan(self.dim, shifted_terms, label)
+        return CombinationPlan._from_sorted(self.dim, shifted_terms, label)
 
     def __repr__(self) -> str:
         return (
@@ -180,11 +198,13 @@ class CombinationPlan:
         )
 
 
-def _band(d: int, n: int, alpha: Sequence) -> dict[LevelIndex, Fraction]:
+def _band(d: int, n: int, alpha: Sequence, label: str) -> CombinationPlan:
     # Every level l with n <= |l|_1 <= n+d+len(alpha)-2, in lexicographic
-    # order, mapped to c(|l|_1, #nonzero levels) (see ho_plan); a maps each
-    # diagonal to its standard-plan coefficient. The walk carries |l|_1 and
-    # the nonzero count down each prefix, so a term costs one table lookup.
+    # order, mapped to c(|l|_1, #nonzero levels) (see ho_plan) unless that
+    # is zero; a maps each diagonal to its standard-plan coefficient. The
+    # walk carries |l|_1 and the nonzero count down each prefix, and each
+    # (|l|_1, count) of a prefix has its list of nonzero (last level,
+    # coefficient) pairs, so a term costs no table lookup or zero test.
     top = n + d + len(alpha) - 2
     a = {n + i: (-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)}
 
@@ -193,6 +213,17 @@ def _band(d: int, n: int, alpha: Sequence) -> dict[LevelIndex, Fraction]:
         return sum(terms, Fraction(0))
 
     table = [[c(t, p) for p in range(d + 1)] for t in range(top + 1)]
+    closing = [
+        [
+            [
+                (v, coeff)
+                for v in range(max(n - t, 0), top - t + 1)
+                if (coeff := table[t + v][p + (v > 0)])
+            ]
+            for p in range(d)
+        ]
+        for t in range(top + 1)
+    ]
     prefixes = [((), 0, 0)]
     for _ in range(d - 1):
         prefixes = [
@@ -202,11 +233,12 @@ def _band(d: int, n: int, alpha: Sequence) -> dict[LevelIndex, Fraction]:
         ]
     # The last level closes the band; compositions are valid levels by
     # construction, so LevelIndex's validation is skipped.
-    return {
-        tuple.__new__(LevelIndex, lv + (v,)): table[t + v][p + (v > 0)]
+    terms = {
+        tuple.__new__(LevelIndex, lv + (v,)): coeff
         for lv, t, p in prefixes
-        for v in range(max(n - t, 0), top - t + 1)
+        for v, coeff in closing[t][p]
     }
+    return CombinationPlan._from_sorted(d, terms, label)
 
 
 def standard_plan(d: int, n: int) -> CombinationPlan:
@@ -219,7 +251,7 @@ def standard_plan(d: int, n: int) -> CombinationPlan:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("level must be >= 0")
-    return CombinationPlan(d, _band(d, n, (1,)), label=f"standard(d={d},n={n})")
+    return _band(d, n, (1,), f"standard(d={d},n={n})")
 
 
 def extrapolation_weights(d: int) -> tuple[Fraction, ...]:
@@ -265,9 +297,37 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     """
     if n < 1:
         raise ValueError("higher-order plan needs n >= 1")
-    return CombinationPlan(
-        d, _band(d, n, extrapolation_weights(d)), label=f"ho(d={d},n={n})"
-    )
+    return _band(d, n, extrapolation_weights(d), f"ho(d={d},n={n})")
+
+
+def _export_parts(
+    plan: CombinationPlan, n: Optional[int]
+) -> tuple[dict[int, list[tuple[LevelIndex, Fraction]]], dict[int, Fraction], dict]:
+    # One pass over the terms: each (level, coefficient) item goes to the
+    # bucket of its diagonal |l|_1, in the stored level order, and the
+    # integer numerators add up per diagonal and denominator. Returns the
+    # buckets and the masses, both in increasing |l|_1, and the export's
+    # fields in their order, with its terms left empty.
+    buckets: defaultdict[int, list] = defaultdict(list)
+    numerators: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for item in plan.terms.items():
+        t = sum(item[0])
+        buckets[t].append(item)
+        num, den = item[1].as_integer_ratio()
+        numerators[t][den] += num
+    masses = {
+        t: sum((Fraction(num, den) for den, num in numerators[t].items()), Fraction(0))
+        for t in sorted(numerators)
+    }
+    fields = {
+        "d": plan.dim,
+        "n": n,
+        "label": plan.label,
+        "terms": [],
+        "coefficient_sum": _frac_str(sum(masses.values(), Fraction(0))),
+        "level_mass": {str(t): _frac_str(m) for t, m in masses.items()},
+    }
+    return {t: buckets[t] for t in masses}, masses, fields
 
 
 def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
@@ -278,34 +338,54 @@ def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
     few partial sums become Fractions. A diagonal that cancels keeps its
     entry, with mass 0.
     """
-    numerators: dict[int, dict[int, int]] = {}
-    for lv, coeff in plan.terms.items():
-        num, den = coeff.as_integer_ratio()
-        by_den = numerators.setdefault(sum(lv), {})
-        by_den[den] = by_den.get(den, 0) + num
-    return {
-        t: sum((Fraction(num, den) for den, num in numerators[t].items()), Fraction(0))
-        for t in sorted(numerators)
-    }
+    return _export_parts(plan, None)[1]
 
 
 def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:
     """JSON-ready dump: terms ordered by (|l|_1, l), with exact "p/q"
-    coefficient strings."""
-    masses = per_level_mass(plan)
-    # Bucketing by |l|_1 in diagonal order is a stable sort: each diagonal
-    # keeps the stored level order.
-    diagonals: dict[int, list[dict]] = {t: [] for t in masses}
-    for lv, coeff in plan.terms.items():
-        diagonals[sum(lv)].append({"levels": list(lv), "coeff": _frac_str(coeff)})
-    return {
-        "d": plan.dim,
-        "n": n,
-        "label": plan.label,
-        "terms": [term for bucket in diagonals.values() for term in bucket],
-        "coefficient_sum": _frac_str(sum(masses.values(), Fraction(0))),
-        "level_mass": {str(t): _frac_str(m) for t, m in masses.items()},
-    }
+    coefficient strings. :func:`write_plan_json` writes its JSON text."""
+    buckets, _, payload = _export_parts(plan, n)
+    payload["terms"] = [
+        {"levels": list(lv), "coeff": _frac_str(coeff)}
+        for bucket in buckets.values()
+        for lv, coeff in bucket
+    ]
+    return payload
+
+
+# Terms rendered per write of the plan export.
+_EXPORT_CHUNK_TERMS = 512
+
+
+def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None) -> None:
+    """Write the bytes of ``json.dump(plan_to_dict(plan, n), out, indent=2)``
+    and a newline, straight from the plan's terms.
+
+    Each term is rendered by one template for the plan's dimension, and the
+    terms are written in chunks of a bounded number of terms, so no dict per
+    term is built and the text is never joined into one string (with an
+    indent, ``json.dump`` runs its pure-Python encoder at one write per
+    token). ``json`` lays out everything else (label escaping included); the
+    first '"terms": []' in its text is the key, because a quote inside an
+    encoded string is always escaped.
+    """
+    buckets, _, fields = _export_parts(plan, n)
+    head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')
+    template = (
+        '    {\n      "levels": [\n        '
+        + ",\n        ".join(["%d"] * plan.dim)
+        + '\n      ],\n      "coeff": "%d/%d"\n    }'
+    )
+    out.write(head + '"terms": [')
+    items = chain.from_iterable(buckets.values())
+    sep = "\n"
+    while chunk := list(islice(items, _EXPORT_CHUNK_TERMS)):
+        out.write(
+            sep
+            + ",\n".join([template % (*lv, *coeff.as_integer_ratio()) for lv, coeff in chunk])
+        )
+        sep = ",\n"
+    out.write(("\n  ]" if buckets else "]") + tail + "\n")
 
 
 def plan_dof(plan: CombinationPlan) -> tuple[int, int]:

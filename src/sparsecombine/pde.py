@@ -226,6 +226,16 @@ def _scipy_fft():
     return scipy.fft
 
 
+@lru_cache(maxsize=None)
+def _axis_order(ndim: int, source: int, dest: int) -> tuple[int, ...]:
+    # The permutation np.moveaxis(a, source, dest) transposes by: the same
+    # view, without its per-call argument normalisation.
+    source %= ndim
+    order = [j for j in range(ndim) if j != source]
+    order.insert(dest % ndim, source)
+    return tuple(order)
+
+
 def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     """Forward discrete sine transform along ``axis``.
 
@@ -234,8 +244,9 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     """
     m = a.shape[axis]
     if m <= DIRECT_TRANSFORM_MAX:
-        moved = np.moveaxis(a, axis, -1)
-        return np.moveaxis(moved @ _sine_matrix(m), -1, axis)
+        last = a.ndim - 1
+        moved = a.transpose(_axis_order(a.ndim, axis, last))
+        return (moved @ _sine_matrix(m)).transpose(_axis_order(a.ndim, last, axis))
     return 0.5 * _scipy_fft().dst(a, type=1, axis=axis)
 
 
@@ -305,7 +316,9 @@ def _interpolate_coefficients(
     m = 2 ** level[a] - 1
     # Values at the interior nodes 1 .. m of the longest direction (moved to
     # the front), over the sine coefficients of the others.
-    nodal = np.moveaxis(sine_transform(coeffs, a) if m > 1 else coeffs, a, 0)
+    nodal = (sine_transform(coeffs, a) if m > 1 else coeffs).transpose(
+        _axis_order(level.dim, a, 0)
+    )
     rest = [j for j in range(level.dim) if j != a]
     per_point = (-1,) + (1,) * len(rest)
     step = max(nodal.size, 2 ** 14) * m // nodal.size

@@ -21,6 +21,7 @@ terms.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,6 +120,13 @@ def check_cancellation_system(
     )
 
 
+# The randomized tables' entries are p/q with 1 <= q <= _TABLE_MAX_DEN, so
+# each is an integer multiple of 1/_TABLE_LCM.
+_TABLE_MAX_DEN = 40
+_TABLE_LCM = math.lcm(*range(1, _TABLE_MAX_DEN + 1))
+_TABLE_SCALE = [0] + [_TABLE_LCM // q for q in range(1, _TABLE_MAX_DEN + 1)]
+
+
 def check_lemma_cancel(
     d: int,
     trials: int = 100,
@@ -128,8 +136,9 @@ def check_lemma_cancel(
     """Randomized telescoping check with arbitrary tables beta: {0,1}^(d-1) -> values.
 
     Runs ``trials`` random tables twice: with small rational entries (defect
-    must be exactly 0) and with float entries in [-1, 1] (defect must stay
-    within 1e-12 * 2**d, exercising the floating code path).
+    must be exactly 0; summed in integer arithmetic over a common
+    denominator) and with float entries in [-1, 1] (defect must stay within
+    1e-12 * 2**d, exercising the floating code path).
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -138,24 +147,29 @@ def check_lemma_cancel(
     rng = random.Random(seed)
     bit_vectors = list(product((0, 1), repeat=d))
     table_keys = list(product((0, 1), repeat=d - 1))
-    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float,
-    # paired with the table key b_1..b_{d-1}; the float terms keep the
+    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float
+    # (paired with the table key b_1..b_{d-1}); the float terms keep the
     # left-to-right product (alpha * 4**(-b_0)) * beta. The two weights
     # sharing a key stay separate terms: alpha_k + alpha_{k+1}/4 = 0, so
     # folding them would make the check vacuous.
-    weights_q = [(alpha[sum(b)] * Fraction(1, 4 ** b[0]), b[1:]) for b in bit_vectors]
+    weights_q = [alpha[sum(b)] * Fraction(1, 4 ** b[0]) for b in bit_vectors]
     weights_f = [(alpha_f[sum(b)] * 0.25 ** b[0], b[1:]) for b in bit_vectors]
 
-    worst_rational = Fraction(0)
+    # The exact phase runs in integers: the weights scaled by D, the lcm of
+    # their denominators, and each table entry p/q by _TABLE_LCM. Bit vector
+    # i's table key b_1..b_{d-1} is entry i mod 2**(d-1) of table_keys.
+    scale = math.lcm(*(c.denominator for c in weights_q))
+    weights_z = [c.numerator * (scale // c.denominator) for c in weights_q]
+    key_index = [i % len(table_keys) for i in range(len(bit_vectors))]
+    worst = 0
     for _ in range(trials):
-        beta = {
-            key: Fraction(rng.randint(-99, 99), rng.randint(1, 40))
-            for key in table_keys
-        }
-        total = Fraction(0)
-        for c, key in weights_q:
-            total += c * beta[key]
-        worst_rational = max(worst_rational, abs(total))
+        beta_z = [
+            rng.randint(-99, 99) * _TABLE_SCALE[rng.randint(1, _TABLE_MAX_DEN)]
+            for _ in table_keys
+        ]
+        total = sum(map(operator.mul, weights_z, map(beta_z.__getitem__, key_index)))
+        worst = max(worst, abs(total))
+    worst_rational = Fraction(worst, scale * _TABLE_LCM)
 
     worst_float = 0.0
     for _ in range(trials):

@@ -221,11 +221,12 @@ def level_mass_by_fraction_sum(terms) -> dict[int, Fraction]:
     return dict(sorted(masses.items()))
 
 
-def lemma_cancel_literal(d: int, trials: int = 100, seed: int = 0):
+def lemma_cancel_literal(d: int, trials: int = 100, seed: int = 0, weights=None):
     """The randomized telescoping check as a literal triple loop over trials,
-    bit vectors and weights, with weights from elimination. Returns the
-    IdentityReport the package's check must equal field for field."""
-    alpha = weights_by_elimination(d)
+    bit vectors and weights, in Fraction arithmetic, with the given weights
+    or else those from elimination. Returns the IdentityReport the package's
+    check must equal field for field."""
+    alpha = list(weights) if weights is not None else weights_by_elimination(d)
     alpha_f = [float(a) for a in alpha]
     rng = random.Random(seed)
     bit_vectors = list(product((0, 1), repeat=d))

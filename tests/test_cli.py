@@ -24,7 +24,6 @@ from sparsecombine.cli import (
     cmd_verify,
     main,
     write_records_csv,
-    _write_plan_json,
 )
 from sparsecombine.combine import (
     CombinationPlan,
@@ -33,6 +32,7 @@ from sparsecombine.combine import (
     ho_plan,
     plan_to_dict,
     standard_plan,
+    write_plan_json,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -298,9 +298,14 @@ def json_dump_bytes(plan, n):
     return json.dumps(plan_to_dict(plan, n=n), indent=2) + "\n"
 
 
+# The three plans the benchmark's exact workload exports.
+EXACT_PLANS = [("ho", 5, 6), ("ho", 6, 2), ("standard", 8, 3)]
+
+
 @pytest.mark.parametrize("kind, d, n", [
     *(("standard", d, n) for d in range(1, 7) for n in range(7)),
     *(("ho", d, n) for d in range(1, 6) for n in range(1, 6)),
+    *EXACT_PLANS,
 ])
 def test_cmd_plan_writes_json_dump_bytes(kind, d, n):
     buf = io.StringIO()
@@ -316,10 +321,15 @@ def test_cmd_plan_writes_json_dump_bytes(kind, d, n):
     (CombinationPlan(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(-1, 3), (2, 0): 7,
                          (1, 1): Fraction(-5, 6)}, label='q"b\\s\nä'), None),
     (CombinationPlan(3, {}, label="empty"), 2),
+    # Built when the test runs: more than one chunk of terms each.
+    *((lambda kind=kind, d=d, n=n: (ho_plan if kind == "ho" else standard_plan)(d, n), n)
+      for kind, d, n in EXACT_PLANS),
 ])
 def test_plan_writer_matches_json_dump(plan, n):
+    if callable(plan):
+        plan = plan()
     buf = io.StringIO()
-    _write_plan_json(plan_to_dict(plan, n=n), buf)
+    write_plan_json(plan, buf, n=n)
     assert buf.getvalue() == json_dump_bytes(plan, n)
 
 

@@ -37,6 +37,7 @@ from sparsecombine.pde import (
 )
 
 from oracles import (
+    compositions,
     ho_plan_by_accumulation,
     level_mass_by_fraction_sum,
     standard_coeffs,
@@ -201,6 +202,49 @@ def test_ho_plan_1d_is_two_grid_extrapolation():
 def test_ho_plan_matches_accumulation_oracle(d):
     for n in range(1, 7):
         assert dict(ho_plan(d, n).terms) == ho_plan_by_accumulation(d, n), n
+
+
+def band_mapping(d, n, alpha):
+    # The band of ho_plan's docstring as a plain dict for the public
+    # constructor: tuple keys in reverse diagonal order, exact zeros kept.
+    a = standard_coeffs(d)
+    mapping = {}
+    for t in reversed(range(n, n + d + len(alpha) - 1)):
+        coeff = [
+            sum(
+                math.comb(p, k) * a[t - k - n] * alpha[k]
+                for k in range(min(p, len(alpha) - 1) + 1)
+                if 0 <= t - k - n < d
+            )
+            for p in range(d + 1)
+        ]
+        for lv in compositions(t, d):
+            mapping[lv] = coeff[d - lv.count(0)]
+    return mapping
+
+
+def assert_same_terms(got, want):
+    assert (got.dim, got.label) == (want.dim, want.label)
+    assert list(got.terms.items()) == list(want.terms.items())
+    for lv, coeff in got.terms.items():
+        assert type(lv) is LevelIndex and type(coeff) is Fraction and coeff != 0
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_builder_plans_equal_public_constructor(d):
+    # standard_plan, ho_plan and shifted hand their sorted, zero-free terms
+    # to the plan unchecked; the public constructor, given the unsorted band
+    # with its zeros, must store the same terms in the same order.
+    cases = [
+        *((standard_plan, n, [1]) for n in range(8)),
+        *((ho_plan, n, weights_by_elimination(d)) for n in range(1, 7)),
+    ]
+    for build, n, alpha in cases:
+        plan = build(d, n)
+        assert_same_terms(plan, CombinationPlan(d, band_mapping(d, n, alpha), plan.label))
+        shifted = plan.shifted(1)
+        backwards = dict(reversed(shifted.terms.items()))
+        assert_same_terms(shifted, CombinationPlan(d, backwards, shifted.label))
 
 
 def test_ho_plan_rejects_n_zero():

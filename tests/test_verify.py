@@ -62,12 +62,30 @@ def test_lemma_cancel_rational_exact(d):
 @pytest.mark.parametrize("seed", (0, 1, 7))
 @pytest.mark.parametrize("d", range(1, 9))
 def test_lemma_cancel_matches_literal_triple_loop(d, seed):
-    # Hoisting the weights out of the trial loops keeps the RNG draw order,
-    # the exact rationals and the float rounding: the report is unchanged.
+    # Integer sums over a common denominator and weights hoisted out of the
+    # trial loops keep the RNG draw order, the exact rationals and the float
+    # rounding: the report is unchanged.
     got = check_lemma_cancel(d, trials=100, seed=seed)
     want = lemma_cancel_literal(d, trials=100, seed=seed)
     assert got == want
     assert type(got.max_abs_defect) is type(want.max_abs_defect)
+
+
+@pytest.mark.parametrize("factor", (Fraction(10001, 10000), Fraction(3, 2)))
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lemma_cancel_matches_literal_with_perturbed_weights(d, seed, factor):
+    # A corrupted alpha_1 leaves a nonzero exact defect; the integer sums
+    # over a common denominator must report the same Fraction as the literal
+    # Fraction arithmetic.
+    w = list(extrapolation_weights(d))
+    w[1] *= factor
+    got = check_lemma_cancel(d, trials=100, seed=seed, weights=w)
+    want = lemma_cancel_literal(d, trials=100, seed=seed, weights=w)
+    assert got == want
+    assert type(got.max_abs_defect) is Fraction
+    assert got.max_abs_defect != 0
+    assert not got.passed
 
 
 def test_lemma_cancel_seed_reproducible():
