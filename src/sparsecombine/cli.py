@@ -67,7 +67,6 @@ class StudyConfig:
     eval_point: Union[str, tuple[float, ...]] = "auto"
     level_shift: int = 1
     node_budget: int = DEFAULT_NODE_BUDGET
-    parallelism: Union[str, int] = "auto"
     out: str = "-"
     fmt: str = "csv"
     seed: int = 1234
@@ -77,11 +76,6 @@ class StudyConfig:
         if self.eval_point == "auto":
             return default_eval_point(self.dim)
         return tuple(float(v) for v in self.eval_point)
-
-    def resolved_parallelism(self) -> Optional[int]:
-        if self.parallelism == "auto":
-            return None
-        return int(self.parallelism)
 
 
 def _fmt_float(v: float) -> str:
@@ -97,7 +91,6 @@ def _study_metadata(cfg: StudyConfig, problem_name: str) -> dict:
         "point": list(cfg.resolved_point()),
         "level_shift": cfg.level_shift,
         "node_budget": cfg.node_budget,
-        "parallelism": cfg.parallelism,
         "seed": cfg.seed,
         "surplus_points": cfg.surplus_points,
         "problem": problem_name,
@@ -178,7 +171,6 @@ def cmd_study(cfg: StudyConfig, stderr: Optional[TextIO] = None) -> int:
             n_min=cfg.n_min,
             level_shift=cfg.level_shift,
             node_budget=cfg.node_budget,
-            parallelism=cfg.resolved_parallelism(),
             surplus_points=cfg.surplus_points,
             seed=cfg.seed,
         )
@@ -325,9 +317,9 @@ def _parse_parallel(text: str) -> Union[str, int]:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad parallelism {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad thread count {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError("parallelism must be >= 1")
+        raise argparse.ArgumentTypeError("thread count must be >= 1")
     return value
 
 
@@ -381,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=_parse_parallel,
         default="auto",
-        help="worker threads for grid solves, or 'auto'",
+        help="a thread count N >= 1 or 'auto'; accepted for compatibility and "
+        "ignored (grids are solved on the calling thread)",
     )
     study.add_argument("--format", choices=("csv", "json"), default="csv")
     study.add_argument("--out", default="-", help="output path, '-' for stdout")
@@ -431,7 +424,6 @@ def _run_study(args: argparse.Namespace) -> int:
         eval_point=args.point,
         level_shift=args.level_shift,
         node_budget=budget,
-        parallelism=args.parallel,
         out=args.out,
         fmt=args.format,
         seed=args.seed,

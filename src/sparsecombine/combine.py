@@ -9,8 +9,8 @@ in the others), so no nodal grid is formed and only K floats per grid
 outlive the solve.
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
-sorted level order so results are bit-identical regardless of caching,
-parallelism or the other points evaluated alongside.
+sorted level order so results are bit-identical regardless of caching or the
+other points evaluated alongside.
 
 The constructors cover the classical sparse-grid combination, 2**d-grid
 multivariate extrapolation of a single level and their composition (the
@@ -26,11 +26,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
-import threading
 import time
 from collections import defaultdict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -152,15 +149,16 @@ class CombinationPlan:
         object.__setattr__(self, "label", label)
 
     @classmethod
-    def _from_sorted(
-        cls, dim: int, terms: dict[LevelIndex, Fraction], label: str
-    ) -> "CombinationPlan":
+    def _from_sorted(cls, dim: int, terms: Mapping, label: str) -> "CombinationPlan":
         # For builder output only: ``terms`` already maps valid LevelIndex
         # keys of dimension ``dim``, in sorted order, to nonzero Fractions,
-        # and the plan takes it over without the per-term checks.
+        # and the plan takes it over without the per-term checks (another
+        # plan's read-only view is shared as it is).
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        if type(terms) is not MappingProxyType:
+            terms = MappingProxyType(terms)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "label", label)
         return self
 
@@ -185,9 +183,18 @@ class CombinationPlan:
 
     def shifted(self, offset: int) -> "CombinationPlan":
         """The same plan with every level shifted by a constant offset."""
-        # A constant offset keeps the sorted order; LevelIndex still rejects
-        # a negative level.
-        shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
+        # A constant offset keeps the sorted order. A nonnegative one keeps
+        # every level valid, so its keys skip LevelIndex's validation (offset
+        # 0 reuses them); a negative one is checked, a negative level raises.
+        if offset > 0:
+            new = tuple.__new__
+            shifted_terms = {
+                new(LevelIndex, [v + offset for v in lv]): c for lv, c in self.terms.items()
+            }
+        elif offset == 0:
+            shifted_terms = self.terms
+        else:
+            shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
         label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"
         return CombinationPlan._from_sorted(self.dim, shifted_terms, label)
 
@@ -427,41 +434,29 @@ CacheKey = tuple[LevelIndex, bytes]
 
 
 class GridCache:
-    """Concurrent insert-or-get store of grid values at a set of points.
+    """Insert-or-get store of grid values at a set of points.
 
     A key is (level, point set) and its entry is the tuple of the K values
     the grid's interpolant takes at those points; the cache never holds a
-    grid. Each key is solved at most once: the first caller wins and runs
-    the solver, concurrent callers for the same key block on its result. A
-    level looked up with another point set is a different key.
+    grid. A level looked up with another point set is a different key. A
+    solve that raises stores nothing.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[CacheKey, Future] = {}
+        self._entries: dict[CacheKey, tuple[float, ...]] = {}
 
     def get_or_solve(
         self, key: CacheKey, solver: Callable[[CacheKey], tuple[float, ...]]
     ) -> tuple[tuple[float, ...], bool]:
         """Return (entry, newly_solved); runs ``solver(key)`` only on a miss."""
-        with self._lock:
-            fut = self._entries.get(key)
-            mine = fut is None
-            if mine:
-                fut = Future()
-                self._entries[key] = fut
-        if mine:
-            try:
-                fut.set_result(solver(key))
-            except BaseException as exc:
-                with self._lock:
-                    self._entries.pop(key, None)
-                fut.set_exception(exc)
-        return fut.result(), mine
+        entry = self._entries.get(key)
+        if entry is not None:
+            return entry, False
+        entry = self._entries[key] = solver(key)
+        return entry, True
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 @dataclass(frozen=True)
@@ -498,7 +493,6 @@ def evaluate_plan(
     x,
     cache: Optional[GridCache] = None,
     *,
-    parallelism: Optional[int] = None,
     node_budget: Optional[int] = None,
 ) -> EvaluationResult:
     """Combine the plan's grid values at one point or at a (K, d) point array.
@@ -507,11 +501,11 @@ def evaluate_plan(
     by ``solve_at_points`` (or fetched from ``cache``); no nodal grid is
     formed. Grids with a zero level in some direction have no interior
     unknown under homogeneous Dirichlet data; they contribute exactly 0.0
-    without a solve. Distinct levels are solved concurrently across a worker
-    pool; each point's weighted reduction runs sequentially over sorted
-    levels with exact coefficients converted to float at the multiply, so
-    every value is bit-identical whatever the cache state, the worker count
-    or the other points evaluated alongside.
+    without a solve. The other levels are solved one after another in sorted
+    order; each point's weighted reduction runs over sorted levels with exact
+    coefficients converted to float at the multiply, so every value is
+    bit-identical whatever the cache state or the other points evaluated
+    alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
@@ -529,31 +523,26 @@ def evaluate_plan(
 
     if cache is None:
         cache = GridCache()
-    solvable = [lv for lv in plan.terms if min(lv) >= 1]
-
     points_key = pts.tobytes()
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
         return tuple(solve_at_points(p, key[0], pts).tolist())
 
-    def fetch(level: LevelIndex) -> tuple[tuple[float, ...], bool]:
+    entries: dict[LevelIndex, tuple[float, ...]] = {}
+    newly_solved: list[LevelIndex] = []
+    for level in plan.terms:
+        if min(level) < 1:
+            continue
         try:
-            return cache.get_or_solve((level, points_key), values_at)
+            entries[level], mine = cache.get_or_solve((level, points_key), values_at)
         except Exception as exc:
             raise PlanEvaluationError(
                 f"while solving level {tuple(level)} "
                 f"for plan {plan.label or '<unnamed>'}: {exc}",
                 level=level,
             ) from exc
-
-    workers = parallelism if parallelism is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(solvable) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fetched = list(pool.map(fetch, solvable))
-    else:
-        fetched = list(map(fetch, solvable))
-    entries = {lv: entry for lv, (entry, _) in zip(solvable, fetched)}
-    newly_solved = [lv for lv, (_, mine) in zip(solvable, fetched) if mine]
+        if mine:
+            newly_solved.append(level)
 
     zeros = (0.0,) * len(pts)
     weighted = [(float(coeff), entries.get(lv, zeros)) for lv, coeff in plan.items()]
@@ -702,7 +691,6 @@ def hierarchical_surplus_study(
     n_min: int = 1,
     level_shift: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    parallelism: Optional[int] = None,
     surplus_points: int = 0,
     seed: int = 1234,
     cache: Optional[GridCache] = None,
@@ -764,9 +752,7 @@ def hierarchical_surplus_study(
             )
         t0 = time.perf_counter()
         plan = method_plan(method, d, n, level_shift)
-        result = evaluate_plan(
-            p, plan, pts, cache, parallelism=parallelism, node_budget=node_budget
-        )
+        result = evaluate_plan(p, plan, pts, cache, node_budget=node_budget)
         # The surplus compares the sample points' values, or the value at x.
         vec = np.array(result.values[1:] if surplus_points else result.values)
         runtime = time.perf_counter() - t0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,6 +118,24 @@ def test_study_rerun_bit_identical(tmp_path):
         assert a["value"] == b["value"]
         assert a["surplus"] == b["surplus"]
         assert a["dof_unique"] == b["dof_unique"]
+
+
+def test_parallel_flag_starts_no_thread(tmp_path, monkeypatch):
+    # --parallel is accepted and ignored: every grid is solved on the calling
+    # thread, whatever count is asked for.
+    def refuse(self):
+        raise RuntimeError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    args = ["study", "--method", "HOSG", "--dim", "2", "--n-min", "2", "--n-max", "5"]
+    outputs = []
+    for workers in ("4", "1", "auto"):
+        out = tmp_path / f"p{workers}.csv"
+        assert run_main(args + ["--parallel", workers, "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        outputs.append([{k: v for k, v in r.items() if k != "runtime_s"} for r in rows])
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_study_budget_exit_and_partial_records(tmp_path):
@@ -471,11 +490,8 @@ def test_write_csv_float_precision():
 def test_study_config_resolution():
     cfg = StudyConfig(method="SG", dim=3, n_min=1, n_max=2)
     assert cfg.resolved_point() == (0.25, 0.5, 0.25)
-    assert cfg.resolved_parallelism() is None
-    cfg2 = StudyConfig(method="SG", dim=2, n_min=1, n_max=2,
-                       eval_point=(0.3, 0.7), parallelism=2)
+    cfg2 = StudyConfig(method="SG", dim=2, n_min=1, n_max=2, eval_point=(0.3, 0.7))
     assert cfg2.resolved_point() == (0.3, 0.7)
-    assert cfg2.resolved_parallelism() == 2
 
 
 def test_cmd_study_stdout_default(capsys):

@@ -67,6 +67,14 @@ def test_plan_shifted():
     assert plan.coefficient_sum() == 1
 
 
+def test_plan_shifted_below_level_zero_raises():
+    # Only a negative offset can make a level negative; it keeps the check.
+    with pytest.raises(ValueError):
+        standard_plan(2, 0).shifted(-1)
+    back = standard_plan(2, 2).shifted(1).shifted(-1)
+    assert dict(back.terms) == dict(standard_plan(2, 2).terms)
+
+
 def test_plan_terms_in_sorted_level_order():
     # Terms are stored sorted by level tuple whatever the input order, so every
     # view of the plan is the canonical reduction order, and shifting keeps it.
@@ -242,9 +250,10 @@ def test_builder_plans_equal_public_constructor(d):
     for build, n, alpha in cases:
         plan = build(d, n)
         assert_same_terms(plan, CombinationPlan(d, band_mapping(d, n, alpha), plan.label))
-        shifted = plan.shifted(1)
-        backwards = dict(reversed(shifted.terms.items()))
-        assert_same_terms(shifted, CombinationPlan(d, backwards, shifted.label))
+        for offset in (0, 1):
+            shifted = plan.shifted(offset)
+            backwards = dict(reversed(shifted.terms.items()))
+            assert_same_terms(shifted, CombinationPlan(d, backwards, shifted.label))
 
 
 def test_ho_plan_rejects_n_zero():
@@ -478,7 +487,7 @@ def test_cache_reuse_and_incremental_dof():
     assert r6b.value == r6.value
 
 
-def test_reduction_bit_identical_across_cache_and_workers():
+def test_reduction_bit_identical_across_cache_states():
     p = builtin_sine_problem(2)
     plan = standard_plan(2, 5).shifted(1)
     x = (0.3, 0.7)
@@ -486,22 +495,19 @@ def test_reduction_bit_identical_across_cache_and_workers():
     cache = GridCache()
     evaluate_plan(p, standard_plan(2, 4).shifted(1), x, cache)
     warm = evaluate_plan(p, plan, x, cache).value
-    serial = evaluate_plan(p, plan, x, parallelism=1).value
-    threaded = evaluate_plan(p, plan, x, parallelism=4).value
-    assert fresh == warm == serial == threaded
+    assert fresh == warm
 
     # K points in one call give the K single-point values bit for bit, with
-    # a cold and a warm cache and with 1 and 4 workers.
+    # a cold and a warm cache.
     pts = [x, (0.0, 1.0), (0.5, 0.25), (0.91, 0.13), (1.0, 0.6)]
     singles = [evaluate_plan(p, plan, q).value for q in pts]
     assert singles[0] == fresh
     batch_cache = GridCache()
     evaluate_plan(p, standard_plan(2, 4).shifted(1), pts, batch_cache)
-    for workers in (1, 4):
-        cold = evaluate_plan(p, plan, pts, parallelism=workers)
-        warm_k = evaluate_plan(p, plan, pts, batch_cache, parallelism=workers)
-        assert list(cold.values) == list(warm_k.values) == singles
-        assert cold.value == fresh
+    cold = evaluate_plan(p, plan, pts)
+    warm_k = evaluate_plan(p, plan, pts, batch_cache)
+    assert list(cold.values) == list(warm_k.values) == singles
+    assert cold.value == fresh
 
 
 def test_cache_does_not_serve_another_point_set():
@@ -539,7 +545,7 @@ def test_study_cache_holds_values_not_grids():
     cache = RecordingCache()
     before = live_grids()
     hierarchical_surplus_study(
-        p, "HOSG", 2, 5, n_min=2, surplus_points=6, parallelism=2, cache=cache
+        p, "HOSG", 2, 5, n_min=2, surplus_points=6, cache=cache
     )
     assert live_grids() <= before
     assert len(cache.seen) == len(cache) > 0
