@@ -149,16 +149,15 @@ class CombinationPlan:
         object.__setattr__(self, "label", label)
 
     @classmethod
-    def _from_sorted(cls, dim: int, terms: Mapping, label: str) -> "CombinationPlan":
+    def _from_sorted(
+        cls, dim: int, terms: dict[LevelIndex, Fraction], label: str
+    ) -> "CombinationPlan":
         # For builder output only: ``terms`` already maps valid LevelIndex
         # keys of dimension ``dim``, in sorted order, to nonzero Fractions,
-        # and the plan takes it over without the per-term checks (another
-        # plan's read-only view is shared as it is).
+        # and the plan takes it over without the per-term checks.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        if type(terms) is not MappingProxyType:
-            terms = MappingProxyType(terms)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "label", label)
         return self
 
@@ -184,15 +183,14 @@ class CombinationPlan:
     def shifted(self, offset: int) -> "CombinationPlan":
         """The same plan with every level shifted by a constant offset."""
         # A constant offset keeps the sorted order. A nonnegative one keeps
-        # every level valid, so its keys skip LevelIndex's validation (offset
-        # 0 reuses them); a negative one is checked, a negative level raises.
-        if offset > 0:
+        # every level valid, so its keys skip LevelIndex's validation; a
+        # negative one is checked, a negative level raises.
+        offset = operator.index(offset)
+        if offset >= 0:
             new = tuple.__new__
             shifted_terms = {
                 new(LevelIndex, [v + offset for v in lv]): c for lv, c in self.terms.items()
             }
-        elif offset == 0:
-            shifted_terms = self.terms
         else:
             shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
         label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"

@@ -75,6 +75,20 @@ def test_plan_shifted_below_level_zero_raises():
     assert dict(back.terms) == dict(standard_plan(2, 2).terms)
 
 
+def test_plan_shifted_keeps_python_int_levels():
+    # The unchecked path for a nonnegative offset still yields plain int
+    # levels: an integer-like offset is taken as an int, a float is refused.
+    plan = standard_plan(2, 2)
+    for offset in (1, np.int64(1), True):
+        shifted = plan.shifted(offset)
+        assert shifted.label == f"{plan.label}+shift1"
+        assert all(type(v) is int for lv in shifted for v in lv)
+        assert dict(shifted.terms) == dict(plan.shifted(1).terms)
+    for offset in (1.0, 0.0):
+        with pytest.raises(TypeError):
+            plan.shifted(offset)
+
+
 def test_plan_terms_in_sorted_level_order():
     # Terms are stored sorted by level tuple whatever the input order, so every
     # view of the plan is the canonical reduction order, and shifting keeps it.
