@@ -237,7 +237,11 @@ def cmd_verify(
 
 
 def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
-    """Print the requested plan as JSON with exact fraction coefficients."""
+    """Print the requested plan as JSON with exact fraction coefficients.
+
+    A plan with more terms than the node budget raises BudgetExceededError
+    before anything is written.
+    """
     out = stream if stream is not None else sys.stdout
     if kind == "standard":
         plan = standard_plan(d, n)
@@ -245,6 +249,14 @@ def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
         plan = ho_plan(d, n)
     else:
         raise ValueError(f"unknown plan kind {kind!r}; expected 'standard' or 'ho'")
+    budget = _default_budget()
+    terms = plan.term_count()
+    if terms > budget:
+        raise BudgetExceededError(
+            f"plan {plan.label} has {terms} terms, budget is {budget}",
+            projected=terms,
+            budget=budget,
+        )
     write_plan_json(plan, out, n=n)
     return EXIT_OK
 

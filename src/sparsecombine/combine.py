@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -118,9 +118,14 @@ class CombinationPlan:
     so no stored coefficient is zero. Terms are stored in sorted level order
     (the canonical reduction order), so ``terms``, ``items()``, ``support()``
     and iteration all yield levels sorted by tuple.
+
+    ``standard_plan`` and ``ho_plan`` keep their plan as its class table (see
+    ``_Band``) and build ``terms`` only on first read; ``len``,
+    ``term_count``, ``repr``, ``coefficient_sum``, ``shifted``,
+    ``per_level_mass`` and ``write_plan_json`` work from the table.
     """
 
-    __slots__ = ("dim", "terms", "label")
+    __slots__ = ("dim", "label", "_terms", "_band")
 
     def __init__(
         self,
@@ -145,27 +150,47 @@ class CombinationPlan:
         if not all(map(operator.lt, clean, islice(clean, 1, None))):
             clean = {lv: clean[lv] for lv in sorted(clean)}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_terms", MappingProxyType(clean))
+        object.__setattr__(self, "_band", None)
 
     @classmethod
     def _from_sorted(
-        cls, dim: int, terms: dict[LevelIndex, Fraction], label: str
+        cls,
+        dim: int,
+        terms: Optional[dict[LevelIndex, Fraction]],
+        label: str,
+        band: Optional["_Band"] = None,
     ) -> "CombinationPlan":
         # For builder output only: ``terms`` already maps valid LevelIndex
         # keys of dimension ``dim``, in sorted order, to nonzero Fractions,
-        # and the plan takes it over without the per-term checks.
+        # and the plan takes it over without the per-term checks. A band
+        # plan passes None and its class table instead.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_terms", None if terms is None else MappingProxyType(terms))
+        object.__setattr__(self, "_band", band)
         return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CombinationPlan is immutable")
 
+    @property
+    def terms(self) -> Mapping[LevelIndex, Fraction]:
+        """Read-only map level -> coefficient in sorted level order."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType(self._band.terms()))
+        return self._terms
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.term_count()
+
+    def term_count(self) -> int:
+        """The number of terms, also beyond ``len``'s limit of sys.maxsize."""
+        if self._band is not None:
+            return sum(count for _, _, count, _ in self._band.classes())
+        return len(self._terms)
 
     def __iter__(self) -> Iterator[LevelIndex]:
         return iter(self.terms)
@@ -178,14 +203,20 @@ class CombinationPlan:
         return list(self.terms)
 
     def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        return sum(per_level_mass(self).values(), Fraction(0))
 
     def shifted(self, offset: int) -> "CombinationPlan":
         """The same plan with every level shifted by a constant offset."""
-        # A constant offset keeps the sorted order. A nonnegative one keeps
-        # every level valid, so its keys skip LevelIndex's validation; a
-        # negative one is checked, a negative level raises.
+        # A constant offset keeps the sorted order. A band plan records it
+        # while its total offset stays nonnegative. Otherwise a nonnegative
+        # offset keeps every level valid, so its keys skip LevelIndex's
+        # validation; a negative one is checked, a negative level raises.
         offset = operator.index(offset)
+        label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"
+        band = self._band
+        if band is not None and band.offset + offset >= 0:
+            band = band._replace(offset=band.offset + offset)
+            return CombinationPlan._from_sorted(self.dim, None, label, band)
         if offset >= 0:
             new = tuple.__new__
             shifted_terms = {
@@ -193,23 +224,121 @@ class CombinationPlan:
             }
         else:
             shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
-        label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"
         return CombinationPlan._from_sorted(self.dim, shifted_terms, label)
 
     def __repr__(self) -> str:
-        return (
-            f"CombinationPlan(dim={self.dim}, terms={len(self.terms)}, "
-            f"label={self.label!r})"
-        )
+        return f"CombinationPlan(dim={self.dim}, terms={self.term_count()}, label={self.label!r})"
+
+
+class _Band(NamedTuple):
+    """The class table of a band plan.
+
+    Every level l with n <= |l|_1 <= top, plus ``offset`` in each direction,
+    has coefficient ``table[|l|_1][p]``, p being the number of nonzero entries
+    of l before the offset (see ho_plan); levels whose coefficient is zero
+    are left out. The top diagonal is ``len(table) - 1``.
+    """
+
+    d: int
+    n: int
+    table: list[list[Fraction]]
+    offset: int
+
+    def classes(self) -> Iterator[tuple[int, int, int, Fraction]]:
+        """(|l|_1, p, level count, coefficient) of every class with levels
+        and a nonzero coefficient, in increasing |l|_1 before the offset.
+
+        Diagonal t holds C(d, p) * C(t-1, p-1) levels with p nonzero entries
+        (one level when t = p = 0).
+        """
+        d = self.d
+        for t in range(self.n, len(self.table)):
+            for p, coeff in enumerate(self.table[t]):
+                count = comb(d, p) * comb(t - 1, p - 1) if t and p else int(t == p)
+                if count and coeff:
+                    yield t, p, count, coeff
+
+    def masses(self) -> dict[int, Fraction]:
+        """Coefficient mass per diagonal |l|_1, as ``per_level_mass``."""
+        shift = self.d * self.offset
+        masses: dict[int, Fraction] = {}
+        for t, _, count, coeff in self.classes():
+            masses[t + shift] = masses.get(t + shift, 0) + count * coeff
+        return masses
+
+    def prefixes(self, start, pieces: list) -> list[tuple]:
+        """The first d-1 levels of every level in the band in lexicographic
+        order, each as ``start`` plus one of ``pieces`` per level (``pieces[v]``
+        stands for level v), with its |.|_1 and nonzero count before the
+        offset."""
+        top = len(self.table) - 1
+        prefixes = [(start, 0, 0)]
+        for _ in range(self.d - 1):
+            prefixes = [
+                (x + pieces[v], t + v, p + (v > 0))
+                for x, t, p in prefixes
+                for v in range(top - t + 1)
+            ]
+        return prefixes
+
+    def terms(self) -> dict[LevelIndex, Fraction]:
+        """The plan's terms in sorted level order.
+
+        The last level closes each prefix; every (|prefix|_1, count) has its
+        list of nonzero (last level, coefficient) pairs, so a term costs no
+        table lookup or zero test. Compositions plus a nonnegative offset
+        are valid levels, so LevelIndex's validation is skipped.
+        """
+        d, n, table, s = self
+        top = len(table) - 1
+        closing = [
+            [
+                [
+                    (v + s, coeff)
+                    for v in range(max(n - t, 0), top - t + 1)
+                    if (coeff := table[t + v][p + (v > 0)])
+                ]
+                for p in range(d)
+            ]
+            for t in range(top + 1)
+        ]
+        new = tuple.__new__
+        return {
+            new(LevelIndex, lv + (v,)): coeff
+            for lv, t, p in self.prefixes((), [(v + s,) for v in range(top + 1)])
+            for v, coeff in closing[t][p]
+        }
+
+    def export_texts(self) -> Iterator[str]:
+        """The export text of every term, by diagonal |l|_1 and then level.
+
+        On diagonal t every prefix with |prefix|_1 <= t, in lexicographic
+        order, is closed by the last level t - |prefix|_1 unless that cell's
+        coefficient is zero. A prefix's text is rendered once, and a closing
+        text once per diagonal and (|prefix|_1, count).
+        """
+        d, n, table, s = self
+        top = len(table) - 1
+        head = '    {\n      "levels": [\n        '
+        pieces = [f"{v + s},\n        " for v in range(top + 1)]
+        # k = |prefix|_1 * d + count indexes a diagonal's closing texts.
+        walk = [(text, t * d + p) for text, t, p in self.prefixes(head, pieces)]
+        for t in range(n, top + 1):
+            ends = [
+                f'{t - tp + s}\n      ],\n      "coeff": "{c.numerator}/{c.denominator}"\n    }}'
+                if (c := table[t][p + (tp < t)])
+                else ""
+                for tp in range(t + 1)
+                for p in range(d)
+            ]
+            limit = len(ends)
+            yield from (text + end for text, k in walk if k < limit and (end := ends[k]))
 
 
 def _band(d: int, n: int, alpha: Sequence, label: str) -> CombinationPlan:
-    # Every level l with n <= |l|_1 <= n+d+len(alpha)-2, in lexicographic
-    # order, mapped to c(|l|_1, #nonzero levels) (see ho_plan) unless that
-    # is zero; a maps each diagonal to its standard-plan coefficient. The
-    # walk carries |l|_1 and the nonzero count down each prefix, and each
-    # (|l|_1, count) of a prefix has its list of nonzero (last level,
-    # coefficient) pairs, so a term costs no table lookup or zero test.
+    # The plan of every level l with n <= |l|_1 <= n+d+len(alpha)-2 and
+    # coefficient c(|l|_1, #nonzero levels) (see ho_plan), kept as its
+    # table; a maps each diagonal to its standard-plan coefficient.
     top = n + d + len(alpha) - 2
     a = {n + i: (-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)}
 
@@ -218,32 +347,7 @@ def _band(d: int, n: int, alpha: Sequence, label: str) -> CombinationPlan:
         return sum(terms, Fraction(0))
 
     table = [[c(t, p) for p in range(d + 1)] for t in range(top + 1)]
-    closing = [
-        [
-            [
-                (v, coeff)
-                for v in range(max(n - t, 0), top - t + 1)
-                if (coeff := table[t + v][p + (v > 0)])
-            ]
-            for p in range(d)
-        ]
-        for t in range(top + 1)
-    ]
-    prefixes = [((), 0, 0)]
-    for _ in range(d - 1):
-        prefixes = [
-            (lv + (v,), t + v, p + (v > 0))
-            for lv, t, p in prefixes
-            for v in range(top - t + 1)
-        ]
-    # The last level closes the band; compositions are valid levels by
-    # construction, so LevelIndex's validation is skipped.
-    terms = {
-        tuple.__new__(LevelIndex, lv + (v,)): coeff
-        for lv, t, p in prefixes
-        for v, coeff in closing[t][p]
-    }
-    return CombinationPlan._from_sorted(d, terms, label)
+    return CombinationPlan._from_sorted(d, None, label, _Band(d, n, table, 0))
 
 
 def standard_plan(d: int, n: int) -> CombinationPlan:
@@ -305,14 +409,13 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     return _band(d, n, extrapolation_weights(d), f"ho(d={d},n={n})")
 
 
-def _export_parts(
-    plan: CombinationPlan, n: Optional[int]
-) -> tuple[dict[int, list[tuple[LevelIndex, Fraction]]], dict[int, Fraction], dict]:
+def _diagonals(
+    plan: CombinationPlan,
+) -> tuple[dict[int, list[tuple[LevelIndex, Fraction]]], dict[int, Fraction]]:
     # One pass over the terms: each (level, coefficient) item goes to the
     # bucket of its diagonal |l|_1, in the stored level order, and the
     # integer numerators add up per diagonal and denominator. Returns the
-    # buckets and the masses, both in increasing |l|_1, and the export's
-    # fields in their order, with its terms left empty.
+    # buckets and the masses, both in increasing |l|_1.
     buckets: defaultdict[int, list] = defaultdict(list)
     numerators: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     for item in plan.terms.items():
@@ -324,7 +427,12 @@ def _export_parts(
         t: sum((Fraction(num, den) for den, num in numerators[t].items()), Fraction(0))
         for t in sorted(numerators)
     }
-    fields = {
+    return {t: buckets[t] for t in masses}, masses
+
+
+def _export_fields(plan: CombinationPlan, n: Optional[int], masses: dict[int, Fraction]) -> dict:
+    # The export's fields in their order, with its terms left empty.
+    return {
         "d": plan.dim,
         "n": n,
         "label": plan.label,
@@ -332,24 +440,27 @@ def _export_parts(
         "coefficient_sum": _frac_str(sum(masses.values(), Fraction(0))),
         "level_mass": {str(t): _frac_str(m) for t, m in masses.items()},
     }
-    return {t: buckets[t] for t in masses}, masses, fields
 
 
 def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
     """Total coefficient mass per diagonal |l|_1, in increasing |l|_1.
 
-    The sum is exact over integer numerators: each diagonal adds the
+    A band plan sums level count times coefficient over its classes. Any
+    other plan sums exactly over integer numerators: each diagonal adds the
     numerators of its coefficients per distinct denominator, and only those
     few partial sums become Fractions. A diagonal that cancels keeps its
     entry, with mass 0.
     """
-    return _export_parts(plan, None)[1]
+    if plan._band is not None:
+        return plan._band.masses()
+    return _diagonals(plan)[1]
 
 
 def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:
     """JSON-ready dump: terms ordered by (|l|_1, l), with exact "p/q"
     coefficient strings. :func:`write_plan_json` writes its JSON text."""
-    buckets, _, payload = _export_parts(plan, n)
+    buckets, masses = _diagonals(plan)
+    payload = _export_fields(plan, n, masses)
     payload["terms"] = [
         {"levels": list(lv), "coeff": _frac_str(coeff)}
         for bucket in buckets.values()
@@ -364,33 +475,40 @@ _EXPORT_CHUNK_TERMS = 512
 
 def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None) -> None:
     """Write the bytes of ``json.dump(plan_to_dict(plan, n), out, indent=2)``
-    and a newline, straight from the plan's terms.
+    and a newline.
 
-    Each term is rendered by one template for the plan's dimension, and the
-    terms are written in chunks of a bounded number of terms, so no dict per
-    term is built and the text is never joined into one string (with an
-    indent, ``json.dump`` runs its pure-Python encoder at one write per
-    token). ``json`` lays out everything else (label escaping included); the
-    first '"terms": []' in its text is the key, because a quote inside an
-    encoded string is always escaped.
+    A band plan's terms are rendered from its class table, one diagonal
+    after another, without building the plan's terms. Any other plan's are
+    bucketed by diagonal and rendered by one template for the plan's
+    dimension. Terms are written in chunks of a bounded number of terms, so
+    no dict per term is built and the text is never joined into one string
+    (with an indent, ``json.dump`` runs its pure-Python encoder at one write
+    per token). ``json`` lays out everything else (label escaping included);
+    the first '"terms": []' in its text is the key, because a quote inside
+    an encoded string is always escaped.
     """
-    buckets, _, fields = _export_parts(plan, n)
-    head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')
-    template = (
-        '    {\n      "levels": [\n        '
-        + ",\n        ".join(["%d"] * plan.dim)
-        + '\n      ],\n      "coeff": "%d/%d"\n    }'
-    )
-    out.write(head + '"terms": [')
-    items = chain.from_iterable(buckets.values())
-    sep = "\n"
-    while chunk := list(islice(items, _EXPORT_CHUNK_TERMS)):
-        out.write(
-            sep
-            + ",\n".join([template % (*lv, *coeff.as_integer_ratio()) for lv, coeff in chunk])
+    if plan._band is not None:
+        masses = plan._band.masses()
+        texts = plan._band.export_texts()
+    else:
+        buckets, masses = _diagonals(plan)
+        template = (
+            '    {\n      "levels": [\n        '
+            + ",\n        ".join(["%d"] * plan.dim)
+            + '\n      ],\n      "coeff": "%d/%d"\n    }'
         )
+        texts = (
+            template % (*lv, *coeff.as_integer_ratio())
+            for lv, coeff in chain.from_iterable(buckets.values())
+        )
+    fields = _export_fields(plan, n, masses)
+    head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')
+    out.write(head + '"terms": [')
+    sep = "\n"
+    while chunk := list(islice(texts, _EXPORT_CHUNK_TERMS)):
+        out.write(sep + ",\n".join(chunk))
         sep = ",\n"
-    out.write(("\n  ]" if buckets else "]") + tail + "\n")
+    out.write(("\n  ]" if masses else "]") + tail + "\n")
 
 
 def plan_dof(plan: CombinationPlan) -> tuple[int, int]:

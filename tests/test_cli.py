@@ -27,14 +27,19 @@ from sparsecombine.cli import (
     write_records_csv,
 )
 from sparsecombine.combine import (
+    DEFAULT_NODE_BUDGET,
     CombinationPlan,
     ConvergenceRecord,
+    _band,
     extrapolation_plan,
     ho_plan,
+    per_level_mass,
     plan_to_dict,
     standard_plan,
     write_plan_json,
 )
+
+from oracles import level_mass_by_fraction_sum
 
 DATA = Path(__file__).parent / "data"
 
@@ -352,6 +357,72 @@ def test_plan_writer_matches_json_dump(plan, n):
     assert buf.getvalue() == json_dump_bytes(plan, n)
 
 
+def reference_plan_json(plan, n):
+    # The export built from the materialised terms alone: sorted by diagonal
+    # and level, masses summed one Fraction per term, laid out by json.
+    items = sorted(plan.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+
+    def frac(c):
+        return f"{c.numerator}/{c.denominator}"
+
+    payload = {
+        "d": plan.dim,
+        "n": n,
+        "label": plan.label,
+        "terms": [{"levels": list(lv), "coeff": frac(c)} for lv, c in items],
+        "coefficient_sum": frac(sum((c for _, c in items), Fraction(0))),
+        "level_mass": {
+            str(t): frac(m) for t, m in level_mass_by_fraction_sum(plan.terms).items()
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def cancelled_band():
+    # No ho_plan has a diagonal whose mass cancels, so this band takes made-up
+    # weights: on |l|_1 = 2, two levels of coefficient 1/4 and one of -1/2.
+    plan = _band(2, 1, (1, Fraction(3, 4)), "cancelled")
+    assert per_level_mass(plan)[2] == 0
+    return plan
+
+
+@pytest.mark.parametrize("kind, d, n, shifts", [
+    *(("standard", d, n, 0) for d in range(1, 7) for n in range(8)),
+    *(("ho", d, n, 0) for d in range(1, 7) for n in range(1, 8)),
+    *((kind, d, n, 0) for kind, d, n in EXACT_PLANS),
+    *(("standard", d, n, 1) for d in (1, 3, 6) for n in (0, 4)),
+    *(("ho", d, n, 1) for d in (1, 3, 5) for n in (1, 4)),
+    ("ho", 3, 2, 2),
+    ("cancelled", 2, 1, 0),
+    ("cancelled", 2, 1, 1),
+])
+def test_band_plan_writer_matches_reference(kind, d, n, shifts):
+    if kind == "cancelled":
+        plan = cancelled_band()
+    else:
+        plan = (ho_plan if kind == "ho" else standard_plan)(d, n)
+    for _ in range(shifts):
+        plan = plan.shifted(1)
+    buf = io.StringIO()
+    write_plan_json(plan, buf, n=n)
+    assert buf.getvalue() == reference_plan_json(plan, n)
+
+
+def test_band_plan_export_leaves_terms_unbuilt():
+    for plan in (standard_plan(4, 3), ho_plan(3, 2), ho_plan(3, 2).shifted(1)):
+        len(plan)
+        repr(plan)
+        plan.term_count()
+        plan.coefficient_sum()
+        per_level_mass(plan)
+        write_plan_json(plan, io.StringIO(), n=2)
+        assert plan.shifted(1)._terms is None
+        assert plan._terms is None
+        terms = plan.terms
+        assert plan._terms is terms and plan.terms is terms
+        assert len(terms) == len(plan)
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["plan", "--kind", "ho", "--dim", "2", "--n", "2"], "plan_ho_d2_n2.json"),
     (["plan", "--kind", "standard", "--dim", "3", "--n", "2"], "plan_standard_d3_n2.json"),
@@ -430,6 +501,49 @@ def test_solve_over_budget_exits_2_without_solving(
     captured = capsys.readouterr()
     assert f"has {nodes} nodes" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("env_budget, argv, message", [
+    (None, ["--kind", "standard", "--dim", "40", "--n", "3"],
+     f"plan standard(d=40,n=3) has 414670662257153823493959 terms, "
+     f"budget is {DEFAULT_NODE_BUDGET}"),
+    (None, ["--kind", "ho", "--dim", "10", "--n", "5"],
+     f"plan ho(d=10,n=5) has 50275012 terms, budget is {DEFAULT_NODE_BUDGET}"),
+    ("30", ["--kind", "standard", "--dim", "3", "--n", "2"],
+     "plan standard(d=3,n=2) has 31 terms, budget is 30"),
+])
+def test_plan_over_budget_exits_2_without_writing(
+    env_budget, argv, message, monkeypatch, capsys
+):
+    def no_write(*args, **kwargs):
+        raise AssertionError("an over-budget plan must not be written")
+
+    monkeypatch.setattr("sparsecombine.cli.write_plan_json", no_write)
+    if env_budget is None:
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(BUDGET_ENV_VAR, env_budget)
+    assert run_main(["plan", *argv]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.err == f"budget guard: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("env_budget, argv, terms", [
+    (None, ["--kind", "standard", "--dim", "8", "--n", "12"], 2_144_493),
+    ("31", ["--kind", "standard", "--dim", "3", "--n", "2"], 31),
+])
+def test_plan_within_budget_is_written(env_budget, argv, terms, monkeypatch):
+    written = []
+    monkeypatch.setattr(
+        "sparsecombine.cli.write_plan_json", lambda plan, out, n: written.append(plan)
+    )
+    if env_budget is None:
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(BUDGET_ENV_VAR, env_budget)
+    assert run_main(["plan", *argv]) == EXIT_OK
+    assert [plan.term_count() for plan in written] == [terms]
 
 
 def test_solve_at_budget_runs(monkeypatch, capsys):

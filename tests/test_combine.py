@@ -317,6 +317,45 @@ def test_cancelled_diagonal_is_exported_as_zero():
     assert plan_to_dict(plan)["level_mass"] == {"1": "0/1", "2": "1/1"}
 
 
+def assert_class_counts_match_enumeration(plan):
+    """Check a fresh band plan and its fresh shift, both counted from their
+    class tables, against the terms each enumerates."""
+    shifted = plan.shifted(1)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # millions of tracked level tuples: collections cost, not check
+    try:
+        items = plan.items()
+        total = sum((c for _, c in items), Fraction(0))
+        masses = level_mass_by_fraction_sum(plan.terms)
+        assert len(plan) == plan.term_count() == len(items)
+        assert plan.coefficient_sum() == total
+        assert per_level_mass(plan) == masses
+        # The shift's terms are the same coefficients at levels one higher, so
+        # its Fraction sums are the ones above, each diagonal moved by d.
+        assert list(shifted.terms.values()) == [c for _, c in items]
+        assert list(shifted.terms) == [tuple(map((1).__add__, lv)) for lv, _ in items]
+        del items
+        assert len(shifted) == shifted.term_count() == len(shifted.terms)
+        assert shifted.coefficient_sum() == total
+        assert per_level_mass(shifted) == {t + plan.dim: m for t, m in masses.items()}
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_standard_plan_class_counts_match_enumeration(d):
+    # Up to standard_plan(8, 12), 2,144,493 terms.
+    for n in range(13):
+        assert_class_counts_match_enumeration(standard_plan(d, n))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_ho_plan_class_counts_match_enumeration(d):
+    for n in range(1, 7):
+        assert_class_counts_match_enumeration(ho_plan(d, n))
+
+
 # ---------------------------------------------------------------------------
 # partition of unity (coefficient_sum == 1 for every constructor)
 
