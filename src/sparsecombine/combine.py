@@ -35,7 +35,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
-import numpy as np
+from ._lazy import np
 
 # Stopgap: multilinear_eval and solve_poisson are not called here (plan
 # evaluation reads grid values through solve_at_points). They stay module
@@ -728,16 +728,28 @@ STUDY_METHODS = tuple(_METHOD_PLANS)
 def method_plan(method: str, d: int, n: int, level_shift: int) -> CombinationPlan:
     """The plan a study evaluates for ``method`` at level ``n``.
 
-    Every level is offset by ``level_shift``. FG is the isotropic grid n, HOFG
-    its Richardson extrapolation from grids n and n+1, SG the standard plan,
-    HOSG the higher-order plan, and SPLIT2D (d = 2 only) the three-grid
-    splitting extrapolation of grid (n, n). ``method`` is case-insensitive;
-    an unknown method raises ValueError.
+    Every level is offset by ``level_shift``, 0 or 1. FG is the isotropic
+    grid n, HOFG its Richardson extrapolation from grids n and n+1, SG the
+    standard plan, HOSG the higher-order plan, and SPLIT2D (d = 2 only) the
+    three-grid splitting extrapolation of grid (n, n). ``method`` is
+    case-insensitive; an unknown method or shift raises ValueError.
     """
     build = _METHOD_PLANS.get(method.upper())
     if build is None:
         raise ValueError(f"unknown method {method!r}; expected one of {STUDY_METHODS}")
+    _check_level_shift(level_shift)
     return build(d, n, level_shift)
+
+
+def _check_level_shift(level_shift) -> None:
+    # operator.index also rejects a float such as 1.0, which compares equal
+    # to 1 but is no level offset.
+    try:
+        valid = operator.index(level_shift) in (0, 1)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError("level_shift must be 0 or 1")
 
 
 def _diag_nodes(d: int, lo: int, hi: int, weight: Callable[[int], int]) -> int:
@@ -769,6 +781,7 @@ def projected_dof_total(method: str, d: int, n: int, level_shift: int = 1) -> in
     budget is the escape hatch for configurations it refuses.
     """
     method = method.upper()
+    _check_level_shift(level_shift)
     s = level_shift
     if method == "SG":
         return _diag_nodes(d, n, n + d - 1, lambda v: 2 ** (v + s) + 1)
@@ -836,8 +849,7 @@ def hierarchical_surplus_study(
         raise ValueError(f"n_min={n_min} exceeds n_max={n_max}")
     if n_min < 0:
         raise ValueError("n_min must be >= 0")
-    if level_shift not in (0, 1):
-        raise ValueError("level_shift must be 0 or 1")
+    _check_level_shift(level_shift)
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
     if surplus_points < 0:

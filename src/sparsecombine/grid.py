@@ -11,10 +11,9 @@ Direction indices are 0-based throughout the package.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "LevelIndex",
@@ -187,13 +186,6 @@ class GridFunction:
             )
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         return cls._from_owned(lv, values)
-
-    def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "GridFunction":
-        return cls.from_bytes(Path(path).read_bytes())
 
     def __repr__(self) -> str:
         return f"GridFunction(level={tuple(self.level)}, nodes={self.values.size})"

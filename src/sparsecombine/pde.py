@@ -20,14 +20,14 @@ direction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
 
 __all__ = [
@@ -132,7 +132,7 @@ def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
 
 
 # pi as the sum of two doubles: the float64 pi and its rounding error.
-_PI = (np.pi, 1.2246467991473532e-16)
+_PI = (math.pi, 1.2246467991473532e-16)
 
 
 def _double_double(q: Fraction) -> tuple[float, float]:

@@ -120,11 +120,13 @@ def check_cancellation_system(
     )
 
 
-# The randomized tables' entries are p/q with 1 <= q <= _TABLE_MAX_DEN, so
-# each is an integer multiple of 1/_TABLE_LCM.
+# The randomized tables' entries are p/q with |p| <= _TABLE_MAX_NUM and
+# 1 <= q <= _TABLE_MAX_DEN, so each is an integer multiple of 1/_TABLE_LCM;
+# _TABLE_SCALE[q - 1] is _TABLE_LCM / q.
+_TABLE_MAX_NUM = 99
 _TABLE_MAX_DEN = 40
 _TABLE_LCM = math.lcm(*range(1, _TABLE_MAX_DEN + 1))
-_TABLE_SCALE = [0] + [_TABLE_LCM // q for q in range(1, _TABLE_MAX_DEN + 1)]
+_TABLE_SCALE = [_TABLE_LCM // q for q in range(1, _TABLE_MAX_DEN + 1)]
 
 
 def check_lemma_cancel(
@@ -146,37 +148,50 @@ def check_lemma_cancel(
     alpha_f = [float(a) for a in alpha]
     rng = random.Random(seed)
     bit_vectors = list(product((0, 1), repeat=d))
-    table_keys = list(product((0, 1), repeat=d - 1))
-    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float
-    # (paired with the table key b_1..b_{d-1}); the float terms keep the
-    # left-to-right product (alpha * 4**(-b_0)) * beta. The two weights
-    # sharing a key stay separate terms: alpha_k + alpha_{k+1}/4 = 0, so
-    # folding them would make the check vacuous.
+    n_keys = 2 ** (d - 1)
+    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float;
+    # the float terms keep the left-to-right product (alpha * 4**(-b_0)) *
+    # beta. The two weights sharing a key stay separate terms:
+    # alpha_k + alpha_{k+1}/4 = 0, so folding them would make the check
+    # vacuous.
     weights_q = [alpha[sum(b)] * Fraction(1, 4 ** b[0]) for b in bit_vectors]
-    weights_f = [(alpha_f[sum(b)] * 0.25 ** b[0], b[1:]) for b in bit_vectors]
+    weights_f = [alpha_f[sum(b)] * 0.25 ** b[0] for b in bit_vectors]
 
     # The exact phase runs in integers: the weights scaled by D, the lcm of
     # their denominators, and each table entry p/q by _TABLE_LCM. Bit vector
-    # i's table key b_1..b_{d-1} is entry i mod 2**(d-1) of table_keys.
+    # i's table key b_1..b_{d-1} is entry i mod 2**(d-1) of each table.
     scale = math.lcm(*(c.denominator for c in weights_q))
     weights_z = [c.numerator * (scale // c.denominator) for c in weights_q]
-    key_index = [i % len(table_keys) for i in range(len(bit_vectors))]
+    key_index = [i % n_keys for i in range(len(bit_vectors))]
+    # The draws below consume the stream of rng.randint(-_TABLE_MAX_NUM,
+    # _TABLE_MAX_NUM), then rng.randint(1, _TABLE_MAX_DEN), and of
+    # rng.uniform(-1.0, 1.0), value for value: random.Random draws an integer
+    # below n by rejection on n.bit_length() random bits.
+    getrandbits, random_float = rng.getrandbits, rng.random
+    num_span = 2 * _TABLE_MAX_NUM + 1
+    num_bits, den_bits = num_span.bit_length(), _TABLE_MAX_DEN.bit_length()
     worst = 0
     for _ in range(trials):
-        beta_z = [
-            rng.randint(-99, 99) * _TABLE_SCALE[rng.randint(1, _TABLE_MAX_DEN)]
-            for _ in table_keys
-        ]
+        beta_z = []
+        for _ in range(n_keys):
+            a = getrandbits(num_bits)
+            while a >= num_span:
+                a = getrandbits(num_bits)
+            b = getrandbits(den_bits)
+            while b >= _TABLE_MAX_DEN:
+                b = getrandbits(den_bits)
+            # The entry p/q with p = a - _TABLE_MAX_NUM and q = b + 1.
+            beta_z.append((a - _TABLE_MAX_NUM) * _TABLE_SCALE[b])
         total = sum(map(operator.mul, weights_z, map(beta_z.__getitem__, key_index)))
         worst = max(worst, abs(total))
     worst_rational = Fraction(worst, scale * _TABLE_LCM)
 
     worst_float = 0.0
     for _ in range(trials):
-        beta_f = {key: rng.uniform(-1.0, 1.0) for key in table_keys}
+        beta_f = [-1.0 + 2.0 * random_float() for _ in range(n_keys)]
         total_f = 0.0
-        for c, key in weights_f:
-            total_f += c * beta_f[key]
+        for c, k in zip(weights_f, key_index):
+            total_f += c * beta_f[k]
         worst_float = max(worst_float, abs(total_f))
 
     float_tol = 1e-12 * 2 ** d

@@ -433,8 +433,21 @@ def test_stdout_matches_golden_file(argv, golden, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
+def run_fresh_python(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this package:
+    in the test process, test modules and plugins have loaded numpy and
+    maybe scipy already."""
+    src = str(Path(sparsecombine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
 def test_plan_and_verify_do_not_import_scipy():
-    # A fresh interpreter: in this process test plugins may have loaded scipy.
+    # Nor numpy: the name is bound lazily, so no numpy.* submodule loads.
     code = (
         "import contextlib, io, sys\n"
         "from sparsecombine.cli import main\n"
@@ -442,14 +455,65 @@ def test_plan_and_verify_do_not_import_scipy():
         "    codes = [main(['plan', '--dim', '2', '--n', '2']),"
         " main(['verify', '--d-max', '2'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n"
     )
-    src = str(Path(sparsecombine.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    assert run_fresh_python(code) == "[0, 0] []\n[]\n"
+
+
+def _untimed(text):
+    # A solve's JSON without solve_seconds, or a study's CSV without runtime_s.
+    if text.startswith("{"):
+        payload = json.loads(text)
+        del payload["solve_seconds"]
+        return payload
+    lines = text.splitlines(keepends=True)
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("# ")))
+    for row in rows:
+        del row["runtime_s"]
+    return [line for line in lines if line.startswith("# ")], rows
+
+
+def test_first_numpy_load_from_package_gives_same_output(capsys):
+    argvs = [
+        ["solve", "--dim", "2", "--level", "5,5"],
+        ["study", "--method", "HOSG", "--dim", "3", "--n-min", "2", "--n-max", "5"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from sparsecombine.cli import main\n"
+        "assert not [m for m in sys.modules if m.startswith('numpy.')]\n"
+        "outs = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        outs.append([main(argv), buf.getvalue()])\n"
+        "assert 'numpy.linalg' in sys.modules\n"
+        "print(json.dumps(outs))\n"
     )
-    assert proc.stdout == "[0, 0] []\n"
+    fresh = json.loads(run_fresh_python(code))
+    for argv, (rc, text) in zip(argvs, fresh):
+        assert rc == run_main(argv) == EXIT_OK
+        assert _untimed(text) == _untimed(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("hide", [
+    "class Hide:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'numpy':\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, Hide())\n",
+    "sys.modules['numpy'] = None\n",
+], ids=["meta_path", "sys_modules"])
+def test_import_without_numpy_names_it(hide):
+    code = (
+        "import sys\n"
+        f"{hide}"
+        "try:\n"
+        "    import sparsecombine\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name, 'numpy' in str(exc))\n"
+    )
+    assert run_fresh_python(code) == "numpy True\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecombine.combine import (
+    STUDY_METHODS,
     BudgetExceededError,
     CombinationPlan,
     GridCache,
@@ -787,6 +788,21 @@ def test_study_rejects_bad_inputs():
         hierarchical_surplus_study(p, "SG", 3, 4, x=(0.5, 0.5))
     with pytest.raises(ValueError):
         hierarchical_surplus_study(p, "SG", 2, 3, n_min=4)
+
+
+@pytest.mark.parametrize("method", STUDY_METHODS)
+@pytest.mark.parametrize("shift", [1.0, 0.0, 2, -1])
+def test_bad_level_shift_rejected_before_any_solve(method, shift):
+    def unsolvable(x):
+        raise AssertionError("a grid was solved")
+
+    p = ProblemSpec(dim=2, rhs=unsolvable)
+    with pytest.raises(ValueError, match="^level_shift must be 0 or 1$"):
+        method_plan(method, 2, 2, shift)
+    with pytest.raises(ValueError, match="^level_shift must be 0 or 1$"):
+        projected_dof_total(method, 2, 2, shift)
+    with pytest.raises(ValueError, match="^level_shift must be 0 or 1$"):
+        hierarchical_surplus_study(p, method, 2, 3, level_shift=shift)
 
 
 def test_study_budget_carries_partial_records():

@@ -152,8 +152,8 @@ def test_serialization_roundtrip(levels, seed):
 def test_serialization_file_roundtrip(tmp_path):
     g = GridFunction.from_callable((2, 3), lambda x: x[0] * x[1])
     path = tmp_path / "grid.bin"
-    g.save(path)
-    back = GridFunction.load(path)
+    path.write_bytes(g.to_bytes())
+    back = GridFunction.from_bytes(path.read_bytes())
     np.testing.assert_array_equal(back.values, g.values)
     assert back.level == g.level
 
