@@ -11,7 +11,6 @@ from .grid import (
     GridFunction,
     LevelIndex,
     Point,
-    enumerate_nodes,
     multilinear_eval,
 )
 from .pde import (
@@ -42,7 +41,6 @@ from .combine import (
     method_plan,
     observed_order,
     per_level_mass,
-    plan_dof,
     plan_to_dict,
     projected_dof_total,
     standard_plan,
@@ -70,7 +68,6 @@ __all__ = [
     "LevelIndex",
     "GridFunction",
     "Point",
-    "enumerate_nodes",
     "multilinear_eval",
     # pde
     "ProblemSpec",
@@ -97,7 +94,6 @@ __all__ = [
     "method_plan",
     "evaluate_plan",
     "hierarchical_surplus_study",
-    "plan_dof",
     "per_level_mass",
     "plan_to_dict",
     "write_plan_json",

@@ -36,7 +36,7 @@ from .combine import (
 # Delete the import in the benchmark change that re-points the hook to
 # write_plan_json (open as a FOUND line in CHANGES.md).
 from .combine import plan_to_dict  # noqa: F401
-from .grid import LevelIndex, multilinear_eval
+from .grid import LevelIndex, _checked_points, multilinear_eval
 from .pde import builtin_sine_problem, solve_poisson
 from .verify import (
     check_cancellation_system,
@@ -270,11 +270,15 @@ def cmd_solve(
 ) -> int:
     """Solve the built-in problem on one grid and report values (debug aid).
 
-    A grid over the studies' node budget raises BudgetExceededError unsolved.
+    A point outside the cube or of the wrong length raises ValueError, and a
+    grid over the studies' node budget raises BudgetExceededError, both
+    before the grid is solved.
     """
     out = stream if stream is not None else sys.stdout
     problem = builtin_sine_problem(dim)
     lv = LevelIndex(level)
+    pt = tuple(point) if point is not None else default_eval_point(dim)
+    _checked_points(pt, dim)
     budget = _default_budget()
     if lv.node_count() > budget:
         raise BudgetExceededError(
@@ -283,7 +287,6 @@ def cmd_solve(
             budget=budget,
         )
     grid, report = solve_poisson(problem, lv, method=method)
-    pt = tuple(point) if point is not None else default_eval_point(dim)
     value = multilinear_eval(grid, pt)
     payload = {
         "level": list(lv),

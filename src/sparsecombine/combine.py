@@ -30,7 +30,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
@@ -63,7 +63,6 @@ __all__ = [
     "method_plan",
     "evaluate_plan",
     "hierarchical_surplus_study",
-    "plan_dof",
     "per_level_mass",
     "plan_to_dict",
     "write_plan_json",
@@ -122,7 +121,8 @@ class CombinationPlan:
     ``standard_plan`` and ``ho_plan`` keep their plan as its class table (see
     ``_Band``) and build ``terms`` only on first read; ``len``,
     ``term_count``, ``repr``, ``coefficient_sum``, ``shifted``,
-    ``per_level_mass`` and ``write_plan_json`` work from the table.
+    ``per_level_mass``, ``write_plan_json`` and ``evaluate_plan``'s node
+    total work from the table.
     """
 
     __slots__ = ("dim", "label", "_terms", "_band")
@@ -478,29 +478,20 @@ def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None)
     and a newline.
 
     A band plan's terms are rendered from its class table, one diagonal
-    after another, without building the plan's terms. Any other plan's are
-    bucketed by diagonal and rendered by one template for the plan's
-    dimension. Terms are written in chunks of a bounded number of terms, so
-    no dict per term is built and the text is never joined into one string
-    (with an indent, ``json.dump`` runs its pure-Python encoder at one write
-    per token). ``json`` lays out everything else (label escaping included);
-    the first '"terms": []' in its text is the key, because a quote inside
-    an encoded string is always escaped.
+    after another, without building the plan's terms, in chunks of a
+    bounded number of terms, so no dict per term is built and the text is
+    never joined into one string (with an indent, ``json.dump`` runs its
+    pure-Python encoder at one write per token). ``json`` lays out
+    everything else (label escaping included); the first '"terms": []' in
+    its text is the key, because a quote inside an encoded string is always
+    escaped. Any other plan is written by exactly that ``json.dump``.
     """
-    if plan._band is not None:
-        masses = plan._band.masses()
-        texts = plan._band.export_texts()
-    else:
-        buckets, masses = _diagonals(plan)
-        template = (
-            '    {\n      "levels": [\n        '
-            + ",\n        ".join(["%d"] * plan.dim)
-            + '\n      ],\n      "coeff": "%d/%d"\n    }'
-        )
-        texts = (
-            template % (*lv, *coeff.as_integer_ratio())
-            for lv, coeff in chain.from_iterable(buckets.values())
-        )
+    if plan._band is None:
+        json.dump(plan_to_dict(plan, n), out, indent=2)
+        out.write("\n")
+        return
+    masses = plan._band.masses()
+    texts = plan._band.export_texts()
     fields = _export_fields(plan, n, masses)
     head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')
     out.write(head + '"terms": [')
@@ -511,38 +502,31 @@ def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None)
     out.write(("\n  ]" if masses else "]") + tail + "\n")
 
 
-def plan_dof(plan: CombinationPlan) -> tuple[int, int]:
-    """(dof_unique, dof_total) for a bare plan.
+def _level_sums(d: int, top: int, weight: Callable[[int], int]) -> list[list[int]]:
+    # sums[t][p] for t <= top: the sum of prod_j weight(l_j) over the levels
+    # l in N^d with |l|_1 = t and p nonzero entries, i.e. C(d, p) *
+    # weight(0)**(d-p) times the coefficient of x**t in Q(x)**p, where
+    # Q(x) = sum_{v>=1} weight(v) x**v: one truncated product per p.
+    q = [0] + [weight(v) for v in range(1, top + 1)]
+    power = [1] + [0] * top
+    sums = [[0] * (d + 1) for _ in range(top + 1)]
+    for p in range(d + 1):
+        scale = comb(d, p) * weight(0) ** (d - p)
+        for t in range(p, top + 1):
+            sums[t][p] = scale * power[t]
+        power = [sum(power[i] * q[t - i] for i in range(t)) for t in range(top + 1)]
+    return sums
 
-    dof_total sums node counts over the support (one count per term).
-    dof_unique is the number of distinct points in the union of the support's
-    grids: every grid's nodes are covered by counting, per level in the
-    downward closure of the support, the nodes new at that level
-    (2 per direction at level 0, 2**(k-1) at level k >= 1).
-    """
-    dof_total = sum(lv.node_count() for lv in plan.terms)
 
-    closure: set[tuple[int, ...]] = set()
-    stack: list[tuple[int, ...]] = [tuple(lv) for lv in plan.terms]
-    while stack:
-        lv = stack.pop()
-        if lv in closure:
-            continue
-        closure.add(lv)
-        for j, v in enumerate(lv):
-            if v > 0:
-                stack.append(lv[:j] + (v - 1,) + lv[j + 1 :])
-
-    def new_nodes(v: int) -> int:
-        return 2 if v == 0 else 2 ** (v - 1)
-
-    dof_unique = 0
-    for lv in closure:
-        prod = 1
-        for v in lv:
-            prod *= new_nodes(v)
-        dof_unique += prod
-    return dof_unique, dof_total
+def _node_total(plan: CombinationPlan) -> int:
+    # The plan's node count summed over its terms, boundary included. A band
+    # plan sums its classes' level sums without building its terms.
+    band = plan._band
+    if band is None:
+        return sum(lv.node_count() for lv in plan.terms)
+    s = band.offset
+    sums = _level_sums(band.d, len(band.table) - 1, lambda v: 2 ** (v + s) + 1)
+    return sum(sums[t][p] for t, p, _, _ in band.classes())
 
 
 # A GridCache key: a level and the bytes of the (K, d) evaluation points.
@@ -616,8 +600,8 @@ def evaluate_plan(
     Each grid's values at the points are computed from its sine coefficients
     by ``solve_at_points`` (or fetched from ``cache``); no nodal grid is
     formed. Grids with a zero level in some direction have no interior
-    unknown under homogeneous Dirichlet data; they contribute exactly 0.0
-    without a solve. The other levels are solved one after another in sorted
+    unknown under homogeneous Dirichlet data; their value is exactly 0.0, so
+    they are neither solved nor summed. The other levels are solved one after another in sorted
     order; each point's weighted reduction runs over sorted levels with exact
     coefficients converted to float at the multiply, so every value is
     bit-identical whatever the cache state or the other points evaluated
@@ -628,7 +612,7 @@ def evaluate_plan(
     pts = _checked_points(x, plan.dim)
     t0 = time.perf_counter()
 
-    dof_total = sum(lv.node_count() for lv in plan.terms)
+    dof_total = _node_total(plan)
     if node_budget is not None and dof_total > node_budget:
         raise BudgetExceededError(
             f"plan {plan.label or '<unnamed>'} needs {dof_total} nodes, "
@@ -660,8 +644,10 @@ def evaluate_plan(
         if mine:
             newly_solved.append(level)
 
-    zeros = (0.0,) * len(pts)
-    weighted = [(float(coeff), entries.get(lv, zeros)) for lv, coeff in plan.items()]
+    # entries holds the solvable levels in sorted order; the zero-level terms
+    # would only add exact zeros, which leave a correctly rounded sum as is.
+    terms = plan.terms
+    weighted = [(float(terms[lv]), entry) for lv, entry in entries.items()]
     return EvaluationResult(
         values=tuple(
             math.fsum(c * entry[k] for c, entry in weighted) for k in range(len(pts))
@@ -752,46 +738,25 @@ def _check_level_shift(level_shift) -> None:
         raise ValueError("level_shift must be 0 or 1")
 
 
-def _diag_nodes(d: int, lo: int, hi: int, weight: Callable[[int], int]) -> int:
-    # Sum over all levels l in N^d with lo <= |l|_1 <= hi of
-    # prod_j weight(l_j): the coefficients lo..hi of P(x)**d, where
-    # P(x) = sum_v weight(v) x**v, by repeated squaring truncated at degree hi.
-    def times(f: list[int], g: list[int]) -> list[int]:
-        return [sum(f[i] * g[t - i] for i in range(t + 1)) for t in range(hi + 1)]
-
-    base = [weight(v) for v in range(hi + 1)]
-    power = [1] + [0] * hi
-    while d:
-        if d & 1:
-            power = times(power, base)
-        d >>= 1
-        if d:
-            base = times(base, base)
-    return sum(power[lo:])
-
-
 def projected_dof_total(method: str, d: int, n: int, level_shift: int = 1) -> int:
     """Projected node total of one study record.
 
-    Exact for FG, HOFG, SG, and SPLIT2D: FG, HOFG and SPLIT2D build their
-    plan of at most three terms, SG sums node counts per diagonal without
-    building its plan. For HOSG it counts every (base grid, refinement subset) pair,
-    an upper bound on the plan's dof_total (measured overshoot between 1.7x
-    and 3.4x for d <= 5): the guard is conservative by design, and a larger
-    budget is the escape hatch for configurations it refuses.
+    Exact for every method but HOSG: the node total of the method's plan,
+    SG's taken from its class table without building its terms. For HOSG it
+    counts every (base grid, refinement subset) pair without building the
+    plan, an upper bound on the plan's dof_total (measured overshoot between
+    1.7x and 3.4x for d <= 5): the guard is conservative by design, and a
+    larger budget is the escape hatch for configurations it refuses.
     """
-    method = method.upper()
+    if method.upper() != "HOSG":
+        return _node_total(method_plan(method, d, n, level_shift))
     _check_level_shift(level_shift)
     s = level_shift
-    if method == "SG":
-        return _diag_nodes(d, n, n + d - 1, lambda v: 2 ** (v + s) + 1)
-    if method == "HOSG":
-        # Each direction counts nodes at both the level and the level + 1
-        # (the node total of all 2**d subset-refinements of a grid).
-        return _diag_nodes(
-            d, n, n + d - 1, lambda v: 2 ** (v + s) + 1 + 2 ** (v + s + 1) + 1
-        )
-    return sum(lv.node_count() for lv in method_plan(method, d, n, s).terms)
+    # Each direction counts nodes at both the level and the level + 1 (the
+    # node total of all 2**d subset-refinements of a grid), summed over the
+    # base grids n <= |l|_1 <= n+d-1.
+    sums = _level_sums(d, n + d - 1, lambda v: 2 ** (v + s) + 1 + 2 ** (v + s + 1) + 1)
+    return sum(map(sum, sums[n:]))
 
 
 @dataclass

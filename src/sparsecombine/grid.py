@@ -11,7 +11,7 @@ Direction indices are 0-based throughout the package.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._lazy import np
 
@@ -19,7 +19,6 @@ __all__ = [
     "LevelIndex",
     "GridFunction",
     "Point",
-    "enumerate_nodes",
     "multilinear_eval",
 ]
 
@@ -189,16 +188,6 @@ class GridFunction:
 
     def __repr__(self) -> str:
         return f"GridFunction(level={tuple(self.level)}, nodes={self.values.size})"
-
-
-def enumerate_nodes(
-    level: Iterable[int],
-) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-    """Yield (index tuple, coordinates) for every node, in lexicographic order."""
-    lv = LevelIndex(level)
-    widths = lv.mesh_widths()
-    for idx in np.ndindex(*lv.points_per_direction()):
-        yield idx, tuple(i * h for i, h in zip(idx, widths))
 
 
 def _checked_points(x, d: int) -> np.ndarray:

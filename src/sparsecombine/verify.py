@@ -140,10 +140,13 @@ def check_lemma_cancel(
     Runs ``trials`` random tables twice: with small rational entries (defect
     must be exactly 0; summed in integer arithmetic over a common
     denominator) and with float entries in [-1, 1] (defect must stay within
-    1e-12 * 2**d, exercising the floating code path).
+    1e-12 * 2**d, exercising the floating code path). ``trials`` must be at
+    least 1: a check that draws no table would pass vacuously.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     alpha = _weights_for(d, weights)
     alpha_f = [float(a) for a in alpha]
     rng = random.Random(seed)

@@ -258,18 +258,3 @@ def lemma_cancel_literal(d: int, trials: int = 100, seed: int = 0, weights=None)
     return IdentityReport(
         d=d, identity="lemma_cancel", max_abs_defect=defect, passed=passed, seed=seed
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force distinct-point count
-
-
-def union_node_count(levels) -> int:
-    """Number of distinct points in the union of the given grids (exact)."""
-    pts: set[tuple[Fraction, ...]] = set()
-    for level in levels:
-        level = tuple(int(v) for v in level)
-        ranges = [range(2 ** v + 1) for v in level]
-        for idx in product(*ranges):
-            pts.add(tuple(Fraction(i, 2 ** v) for i, v in zip(idx, level)))
-    return len(pts)

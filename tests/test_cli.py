@@ -285,6 +285,16 @@ def test_verify_rejects_bad_dmax(capsys):
     assert run_main(["verify", "--d-max", "0"]) == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(trials, capsys):
+    # A randomized check that draws no table would pass vacuously.
+    assert run_main(["verify", "--d-max", "2", "--trials", trials]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert "trials must be >= 1" in captured.err
+    assert "checks passed" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 # ---------------------------------------------------------------------------
 # plan subcommand
 
@@ -544,6 +554,22 @@ def test_solve_degenerate_level(capsys):
 
 def test_solve_level_dim_mismatch(capsys):
     assert run_main(["solve", "--dim", "2", "--level", "3"]) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("point, message", [
+    ("2,0,0", "outside [0, 1]"),
+    ("0.5,0.5", "point has 2 coords, expected 3"),
+])
+def test_solve_bad_point_exits_3_without_solving(point, message, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid must not be solved for a bad point")
+
+    monkeypatch.setattr("sparsecombine.cli.solve_poisson", no_solve)
+    argv = ["solve", "--dim", "3", "--level", "7,7,7", "--point", point]
+    assert run_main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize(

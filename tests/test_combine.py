@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -23,11 +24,11 @@ from sparsecombine.combine import (
     method_plan,
     observed_order,
     per_level_mass,
-    plan_dof,
     plan_to_dict,
     projected_dof_total,
     standard_plan,
     surplus_order,
+    _node_total,
 )
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
@@ -42,7 +43,6 @@ from oracles import (
     ho_plan_by_accumulation,
     level_mass_by_fraction_sum,
     standard_coeffs,
-    union_node_count,
     weights_by_elimination,
 )
 
@@ -391,45 +391,22 @@ def test_partition_of_unity_property(d, n):
 
 
 # ---------------------------------------------------------------------------
-# plan_dof / projections
+# node totals / projections
 
 
-@pytest.mark.parametrize(
-    "maker",
-    [
-        lambda: standard_plan(2, 4).shifted(1),
-        lambda: standard_plan(3, 3).shifted(1),
-        lambda: ho_plan(2, 3).shifted(1),
-        lambda: extrapolation_plan((2, 3, 1)),
-        lambda: CombinationPlan(2, {(1, 5): 1, (4, 2): -2, (3, 3): 1}),
-    ],
-)
-def test_plan_dof_unique_matches_bruteforce_union(maker):
-    plan = maker()
-    unique, total = plan_dof(plan)
-    assert total == sum(lv.node_count() for lv in plan.support())
-    assert unique == union_node_count(plan.support())
+def node_total_by_terms(plan):
+    return sum(lv.node_count() for lv in plan.terms)
 
 
-def test_plan_dof_1d_union_is_finest_grid():
-    plan = CombinationPlan(1, {(n,): 1 for n in range(0, 7)})
-    unique, total = plan_dof(plan)
-    assert unique == 2 ** 6 + 1
-    assert total == sum(2 ** n + 1 for n in range(0, 7))
-
-
-@pytest.mark.parametrize("n", range(6, 11))
-def test_plan_dof_2d_total_vs_unique_ratio(n):
-    # The union of a 2-d standard plan's grids stays within a small constant
-    # of the summed term sizes (measured ratio creeps from 2.64 to 2.73).
-    unique, total = plan_dof(standard_plan(2, n).shifted(1))
-    assert 2.5 <= total / unique <= 2.8
-
-
-def test_plan_dof_monotone_in_n():
-    values = [plan_dof(ho_plan(2, n))[0] for n in range(1, 6)]
-    assert values == sorted(values)
-    assert values[0] < values[-1]
+@pytest.mark.parametrize("build", [standard_plan, ho_plan])
+def test_node_total_matches_per_term_sum(build):
+    # A band plan counts its nodes from its class table; offset 0 keeps the
+    # zero-level terms, which count their boundary nodes too.
+    for d in range(1, 5):
+        for n in range(1, 5):
+            for offset in (0, 1, 2):
+                plan = build(d, n).shifted(offset)
+                assert _node_total(plan) == node_total_by_terms(plan)
 
 
 @pytest.mark.parametrize(
@@ -445,14 +422,15 @@ def test_plan_dof_monotone_in_n():
     ],
 )
 def test_projected_dof_exact_for_closed_form_methods(method, d, n):
-    plan = method_plan(method, d, n, level_shift=1)
-    assert projected_dof_total(method, d, n, level_shift=1) == plan_dof(plan)[1]
+    for shift in (0, 1):
+        plan = method_plan(method, d, n, level_shift=shift)
+        assert projected_dof_total(method, d, n, level_shift=shift) == node_total_by_terms(plan)
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (2, 5), (3, 2), (3, 4)])
 def test_projected_dof_upper_bounds_hosg(d, n):
     plan = method_plan("HOSG", d, n, level_shift=1)
-    built = plan_dof(plan)[1]
+    built = node_total_by_terms(plan)
     projected = projected_dof_total("HOSG", d, n, level_shift=1)
     assert projected >= built
     assert projected <= 4 * built
@@ -461,6 +439,21 @@ def test_projected_dof_upper_bounds_hosg(d, n):
 def test_projected_dof_rejects_unknown_method():
     with pytest.raises(ValueError):
         projected_dof_total("NOPE", 2, 3)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_projected_dof_hosg_counts_every_refinement_of_every_base_grid(shift):
+    # The HOSG projection counts the nodes of all 2**d subset-refinements of
+    # every base grid of the shifted standard plan.
+    for d in range(1, 5):
+        for n in range(1, 5):
+            expected = sum(
+                base.refine(subset).node_count()
+                for base in standard_plan(d, n).shifted(shift).terms
+                for k in range(d + 1)
+                for subset in itertools.combinations(range(d), k)
+            )
+            assert projected_dof_total("HOSG", d, n, level_shift=shift) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +490,7 @@ def test_zero_level_terms_contribute_zero_without_solving():
 def test_evaluate_plan_respects_budget():
     p = builtin_sine_problem(2)
     plan = standard_plan(2, 6).shifted(1)
-    needed = plan_dof(plan)[1]
+    needed = node_total_by_terms(plan)
     with pytest.raises(BudgetExceededError) as exc:
         evaluate_plan(p, plan, (0.5, 0.5), node_budget=needed - 1)
     assert exc.value.projected == needed
@@ -505,6 +498,16 @@ def test_evaluate_plan_respects_budget():
     # exactly at the budget it must run
     res = evaluate_plan(p, plan, (0.5, 0.5), node_budget=needed)
     assert res.dof_total == needed
+
+
+def test_evaluate_plan_refuses_band_plan_without_building_its_terms():
+    p = builtin_sine_problem(6)
+    plan = ho_plan(6, 4)
+    needed = node_total_by_terms(ho_plan(6, 4))
+    with pytest.raises(BudgetExceededError) as exc:
+        evaluate_plan(p, plan, default_eval_point(6), node_budget=needed - 1)
+    assert exc.value.projected == needed
+    assert plan._terms is None
 
 
 def test_evaluate_plan_dimension_mismatch():
@@ -529,7 +532,7 @@ def test_cache_reuse_and_incremental_dof():
     plan5 = standard_plan(2, 5).shifted(1)
     plan6 = standard_plan(2, 6).shifted(1)
     r5 = evaluate_plan(p, plan5, (0.25, 0.5), cache)
-    assert r5.dof_unique == plan_dof(plan5)[1]
+    assert r5.dof_unique == node_total_by_terms(plan5)
     r6 = evaluate_plan(p, plan6, (0.25, 0.5), cache)
     new_levels = set(plan6.support()) - set(plan5.support())
     assert r6.dof_unique == sum(lv.node_count() for lv in new_levels)
@@ -754,7 +757,7 @@ def test_study_dof_unique_is_incremental():
         new = [lv for lv in plan.support() if lv not in seen]
         assert r.dof_unique == sum(lv.node_count() for lv in new)
         seen.update(plan.support())
-        assert r.dof_total == plan_dof(plan)[1]
+        assert r.dof_total == node_total_by_terms(plan)
 
 
 def test_study_values_match_direct_evaluation():

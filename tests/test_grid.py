@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sparsecombine.grid import (
     GridFunction,
     LevelIndex,
-    enumerate_nodes,
     multilinear_eval,
 )
 
@@ -77,31 +76,15 @@ def test_refine_halves_widths(levels, data):
         assert fine.mesh_widths()[j] == factor * lv.mesh_widths()[j]
 
 
-# ---------------------------------------------------------------------------
-# enumerate_nodes
-
-
-def test_enumerate_nodes_1d():
-    nodes = list(enumerate_nodes((1,)))
-    assert nodes == [((0,), (0.0,)), ((1,), (0.5,)), ((2,), (1.0,))]
-
-
-def test_enumerate_nodes_corners():
-    nodes = list(enumerate_nodes((0, 0)))
-    assert len(nodes) == 4
-    assert {pt for _, pt in nodes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
-def test_enumerate_nodes_order_and_count():
-    nodes = list(enumerate_nodes((2, 1)))
-    assert len(nodes) == 15
-    assert nodes[0] == ((0, 0), (0.0, 0.0))
-    assert nodes[-1] == ((4, 2), (1.0, 1.0))
-
-
 def test_enumerate_matches_values_order():
+    # Values are flat in lexicographic (C) order of the node index tuple.
     g = GridFunction.from_callable((2, 1), lambda x: 10 * x[0] + x[1])
-    for flat, (_, pt) in zip(g.values, enumerate_nodes((2, 1))):
+    h = g.level.mesh_widths()
+    indices = list(np.ndindex(*g.shape))
+    assert len(indices) == g.values.size == 15
+    assert indices[0] == (0, 0) and indices[-1] == (4, 2)
+    for flat, idx in zip(g.values, indices):
+        pt = tuple(i * w for i, w in zip(idx, h))
         assert flat == 10 * pt[0] + pt[1]
 
 
@@ -197,7 +180,9 @@ def test_bilinear_product_frozen():
 
 def test_eval_exact_at_nodes():
     g = GridFunction.from_callable((2, 3), lambda x: math.cos(x[0] + 2 * x[1]))
-    for idx, pt in enumerate_nodes(g.level):
+    h = g.level.mesh_widths()
+    for idx in np.ndindex(*g.shape):
+        pt = tuple(i * w for i, w in zip(idx, h))
         assert multilinear_eval(g, pt) == g.ndview()[idx]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsecombine.grid import GridFunction, LevelIndex, enumerate_nodes, multilinear_eval
+from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
     DegenerateGridError,
     ProblemSpec,
@@ -226,8 +226,10 @@ def test_second_order_convergence(d, n_range):
     for n in n_range:
         u, _ = solve_poisson(p, (n,) * d)
         full = u.ndview()
+        h = u.level.mesh_widths()
         worst = 0.0
-        for idx, pt in enumerate_nodes(u.level):
+        for idx in np.ndindex(*full.shape):
+            pt = tuple(i * w for i, w in zip(idx, h))
             worst = max(worst, abs(full[idx] - p.exact(pt)))
         errs.append(worst)
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -263,18 +265,19 @@ def test_residual_contract_random_levels(levels, seed):
     p = ProblemSpec(dim=d, rhs=rhs)
     u, rep = solve_poisson(p, levels)
     lv = LevelIndex(levels)
-    f_inf = max(
-        abs(rhs(pt))
-        for idx, pt in enumerate_nodes(lv)
+    h = lv.mesh_widths()
+    interior = [
+        (idx, tuple(i * w for i, w in zip(idx, h)))
+        for idx in np.ndindex(*lv.points_per_direction())
         if all(0 < i < 2 ** v for i, v in zip(idx, lv))
-    )
+    ]
+    f_inf = max(abs(rhs(pt)) for _, pt in interior)
     assert rep.residual_inf <= 1e-10 * (1.0 + f_inf)
     # Cross-check the reported residual against apply_operator.
     op = apply_operator(u)
     worst = 0.0
-    for idx, pt in enumerate_nodes(lv):
-        if all(0 < i < 2 ** v for i, v in zip(idx, lv)):
-            worst = max(worst, abs(op.ndview()[idx] - rhs(pt)))
+    for idx, pt in interior:
+        worst = max(worst, abs(op.ndview()[idx] - rhs(pt)))
     assert worst == pytest.approx(rep.residual_inf, rel=1e-9, abs=1e-13)
 
 
@@ -406,8 +409,10 @@ def test_apply_operator_inverts_solve():
     u, _ = solve_poisson(p, (4, 5))
     out = apply_operator(u)
     lv = u.level
-    for idx, pt in enumerate_nodes(lv):
+    h = lv.mesh_widths()
+    for idx in np.ndindex(*lv.points_per_direction()):
         if all(0 < i < 2 ** v for i, v in zip(idx, lv)):
+            pt = tuple(i * w for i, w in zip(idx, h))
             assert out.ndview()[idx] == pytest.approx(p.rhs(pt), rel=1e-8, abs=1e-8)
 
 

@@ -94,6 +94,12 @@ def test_lemma_cancel_seed_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_lemma_cancel_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_lemma_cancel(2, trials=trials)
+
+
 @pytest.mark.parametrize(
     "checker", [check_normalization, check_cancellation_system, check_lemma_cancel]
 )
