@@ -3,10 +3,11 @@
 A plan is a signed rational measure on level multi-indices: solve the PDE on
 every grid in the plan's support, take each solution's interpolated values at
 the evaluation points, and accumulate coefficient-weighted values. A grid's
-values are read from its sine coefficients (``pde.solve_at_points``: one
+values are read from its sine coefficients (as ``pde.solve_at_points``: one
 inverse transform along the grid's longest direction, then per-point weights
 in the others), so no nodal grid is formed and only K floats per grid
-outlive the solve.
+outlive the solve. The grids of one evaluation share one point table, so the
+points' cells and weights are built once per (direction, level) pair.
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
 sorted level order so results are bit-identical regardless of caching or the
@@ -38,14 +39,14 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 from ._lazy import np
 
 # Stopgap: multilinear_eval and solve_poisson are not called here (plan
-# evaluation reads grid values through solve_at_points). They stay module
+# evaluation reads grid values through _solve_at_table). They stay module
 # attributes only because the benchmark's span hooks (bench/spans.py) resolve
 # them on this module and its smoke check fails on a missing hook; those
 # hooks therefore count 0 calls on the study path. Delete both imports in
-# the benchmark change that re-points the hooks to solve_at_points (open as a
+# the benchmark change that re-points the hooks to _solve_at_table (open as a
 # FOUND line in CHANGES.md).
 from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
-from .pde import ProblemSpec, solve_at_points, solve_poisson  # noqa: F401
+from .pde import ProblemSpec, _PointTable, _solve_at_table, solve_poisson  # noqa: F401
 
 __all__ = [
     "CombinationPlan",
@@ -598,14 +599,15 @@ def evaluate_plan(
     """Combine the plan's grid values at one point or at a (K, d) point array.
 
     Each grid's values at the points are computed from its sine coefficients
-    by ``solve_at_points`` (or fetched from ``cache``); no nodal grid is
-    formed. Grids with a zero level in some direction have no interior
-    unknown under homogeneous Dirichlet data; their value is exactly 0.0, so
-    they are neither solved nor summed. The other levels are solved one after another in sorted
-    order; each point's weighted reduction runs over sorted levels with exact
-    coefficients converted to float at the multiply, so every value is
-    bit-identical whatever the cache state or the other points evaluated
-    alongside.
+    as by ``solve_at_points`` (or fetched from ``cache``), all grids reading
+    one table of the points' cells and weights; no nodal grid is formed.
+    Grids with a zero level in some direction have no interior unknown under
+    homogeneous Dirichlet data; their value is exactly 0.0, so they are
+    neither solved nor summed. The other levels are solved one after another
+    in sorted order; each point's weighted reduction runs over sorted levels
+    with exact coefficients converted to float at the multiply, so every
+    value is bit-identical whatever the cache state or the other points
+    evaluated alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
@@ -624,9 +626,10 @@ def evaluate_plan(
     if cache is None:
         cache = GridCache()
     points_key = pts.tobytes()
+    table = _PointTable(pts)
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
-        return tuple(solve_at_points(p, key[0], pts).tolist())
+        return tuple(_solve_at_table(p, key[0], table).tolist())
 
     entries: dict[LevelIndex, tuple[float, ...]] = {}
     newly_solved: list[LevelIndex] = []

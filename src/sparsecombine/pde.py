@@ -15,7 +15,9 @@ multilinear interpolant is linear in the nodal values and every nodal value
 is a sine sum. It applies one inverse transform, along the longest
 direction, blends each point's two node rows there and contracts the other
 directions' coefficients with one sine weight vector per point and
-direction.
+direction. Those rows, blend weights and sine weight vectors depend only on
+the points and on one (direction, level) pair, so grids evaluated at the same
+points share them through one point table (``_PointTable``).
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from ._lazy import np
-from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
+from .grid import GridFunction, LevelIndex, Point, _checked_points
 
 __all__ = [
     "ProblemSpec",
@@ -47,6 +49,11 @@ __all__ = [
 # the FFT-based fast transform. Both paths agree to 1e-12 on overlap.
 DIRECT_TRANSFORM_MAX = 64
 
+# The work arrays of one chunk of points hold about max(N, _CHUNK_ENTRIES)
+# entries, N being the grid's interior size. A point table keeps per-point
+# sine weight blocks of at most _TABLE_ENTRIES entries in all.
+_CHUNK_ENTRIES = 2 ** 14
+_TABLE_ENTRIES = 64 * _CHUNK_ENTRIES
 
 
 class DegenerateGridError(ValueError):
@@ -118,8 +125,9 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
         return -prod
 
     def rhs_grid(level: LevelIndex) -> np.ndarray:
-        sines = [np.sin(np.pi * ax) for ax in _interior_axes(level)]
-        out = reduce(np.multiply, np.ix_(*sines))
+        out = _outer(np.multiply, [_interior_sines(v) for v in level])
+        if len(level) == 1:  # out is the cached vector itself
+            return out * (d * np.pi ** 2)
         out *= d * np.pi ** 2
         return out
 
@@ -129,6 +137,24 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
 def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
     """Interior node coordinates per direction: (1..2**l-1) * h."""
     return [np.arange(1, 2 ** v) * (2.0 ** -v) for v in level]
+
+
+@lru_cache(maxsize=32)
+def _interior_sines(v: int) -> np.ndarray:
+    # sin(pi x) at the interior nodes of a direction at level v, read-only.
+    out = np.sin(np.pi * _interior_axes((v,))[0])
+    out.setflags(write=False)
+    return out
+
+
+def _outer(op, vectors: list[np.ndarray]) -> np.ndarray:
+    """The d-dimensional array (v0[i0] op v1[i1]) op ... op v_{d-1}[i_{d-1}],
+    folded from the left by broadcasting; a single vector is returned as is."""
+    d = len(vectors)
+    out = vectors[0].reshape((-1,) + (1,) * (d - 1))
+    for j in range(1, d):
+        out = op(out, vectors[j].reshape((-1,) + (1,) * (d - 1 - j)))
+    return out
 
 
 # pi as the sum of two doubles: the float64 pi and its rounding error.
@@ -282,7 +308,7 @@ def _sine_coefficients(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
     # The inverse transforms' factors 2/(m+1) = 2**(1-l) multiply into one
     # power of two on the denominator, which scales every rounding exactly.
     scale = 2.0 ** (sum(level) - level.dim)
-    denom = reduce(np.add, np.ix_(*[scale * _eigenvalues_1d(v) for v in level]))
+    denom = _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
     if work is f_int:
         return work / denom
     np.divide(work, denom, out=work)
@@ -297,20 +323,88 @@ def _fast_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
     return work
 
 
+def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
+    """Per-point sine weight vectors of a direction with m interior nodes:
+    row k is (1 - t) s(c) + t s(c + 1) for the point's cell c and fraction t,
+    s(i) being row i of the sine matrix (zero at the boundary nodes)."""
+    t = fracs[:, None]
+    rows = _sine_rows(m, cells + np.array([[0], [1]]))
+    weights = (1.0 - t) * rows[0]
+    weights += t * rows[1]
+    return weights
+
+
+class _PointTable:
+    """The per-point data of one checked (K, d) point set that every grid
+    evaluated at it shares, built per (direction, level) pair at first use.
+
+    ``cells`` gives each point's lower node index and its offset from that
+    node in mesh widths (as ``grid._cell_coordinates``); ``blend`` the rows
+    of the two nodes a point blends when the direction is a grid's longest
+    (row i holds node i + 1) and their weights, zeroed for the boundary
+    nodes 0 and m + 1, which hold 0; ``weights`` the K x m sine
+    weight vectors of :func:`_sine_weights`, or None once the table's blocks
+    would exceed ``_TABLE_ENTRIES`` entries, so that its memory does not grow
+    with K beyond the O(K) pieces. Every entry is computed point by point, so
+    it holds the bits a grid's own computation would give.
+    """
+
+    def __init__(self, pts: np.ndarray) -> None:
+        self.pts = pts
+        self._cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._blends: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._weights: dict[tuple[int, int], Optional[np.ndarray]] = {}
+        self._room = _TABLE_ENTRIES
+
+    def cells(self, j: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+        entry = self._cells.get((j, v))
+        if entry is None:
+            n = 2 ** v  # cells per direction; the scaling is exact
+            t = self.pts[:, j] * n
+            c = np.minimum(t.astype(np.intp), n - 1)
+            entry = self._cells[j, v] = (c, t - c)
+        return entry
+
+    def blend(self, j: int, v: int) -> tuple[np.ndarray, ...]:
+        entry = self._blends.get((j, v))
+        if entry is None:
+            c, f = self.cells(j, v)
+            m = 2 ** v - 1
+            entry = self._blends[j, v] = (
+                np.maximum(c - 1, 0),
+                np.where(c > 0, 1.0 - f, 0.0),
+                np.minimum(c, m - 1),
+                np.where(c < m, f, 0.0),
+            )
+        return entry
+
+    def weights(self, j: int, v: int) -> Optional[np.ndarray]:
+        key = (j, v)
+        if key not in self._weights:
+            size = len(self.pts) * (2 ** v - 1)
+            block = None
+            if size <= self._room:
+                self._room -= size
+                block = _sine_weights(2 ** v - 1, *self.cells(j, v))
+            self._weights[key] = block
+        return self._weights[key]
+
+
 def _interpolate_coefficients(
-    coeffs: np.ndarray, level: LevelIndex, cells: np.ndarray, fracs: np.ndarray
+    coeffs: np.ndarray, level: LevelIndex, table: _PointTable
 ) -> np.ndarray:
     """Values of the multilinear interpolant of the grid with sine coefficients
-    ``coeffs`` at the points with the given cells and fractions.
+    ``coeffs`` at the points of ``table``.
 
     The longest direction is turned into nodal values by one sine transform,
     shared by all points, and each point blends the two node rows around it.
-    In every other direction j a point's weight vector is
-    (1 - t) s(c) + t s(c + 1), s(i) being row i of the sine matrix (zero at
-    the boundary nodes), contracted by one stacked product over the points.
-    Each point runs the same fixed-shape operations, so its value does not
-    depend on the other points. Points are taken in chunks whose work arrays
-    are no larger than the grid (or 2**14 entries), whatever their number.
+    In every other direction a point's sine weight vector is contracted by
+    one stacked product over the points. Each point runs the same
+    fixed-shape operations, so its value does not depend on the other
+    points. Points are taken in chunks whose work arrays are no larger than
+    the grid (or ``_CHUNK_ENTRIES``), whatever their number; the table's
+    per-point arrays are sliced per chunk, and weight vectors it does not
+    keep are built per chunk.
     """
     a = level.index(max(level))
     m = 2 ** level[a] - 1
@@ -319,32 +413,35 @@ def _interpolate_coefficients(
     nodal = (sine_transform(coeffs, a) if m > 1 else coeffs).transpose(
         _axis_order(level.dim, a, 0)
     )
-    rest = [j for j in range(level.dim) if j != a]
-    per_point = (-1,) + (1,) * len(rest)
-    step = max(nodal.size, 2 ** 14) * m // nodal.size
-    out = np.empty(len(cells))
-    for start in range(0, len(cells), step):
-        c = cells[start : start + step]
-        f = fracs[start : start + step]
-        k = len(c)
+    lower, lower_w, upper, upper_w = table.blend(a, level[a])
+    others = [
+        (j, level[j], table.weights(j, level[j]))
+        for j in reversed(range(level.dim))
+        if j != a
+    ]
+    per_point = (-1,) + (1,) * len(others)
+    step = max(nodal.size, _CHUNK_ENTRIES) * m // nodal.size
+    out = np.empty(len(table.pts))
+    for start in range(0, len(out), step):
+        stop = start + step
         # Each point blends its two node rows. Indexing gives fresh C-ordered
         # rows whatever the number of points (a strided view can send a lone
-        # point's np.matmul down another summation path). The boundary nodes
-        # 0 and m + 1 hold 0, so their weights are zeroed.
-        work = nodal[np.maximum(c[:, a] - 1, 0)]
-        work *= np.where(c[:, a] > 0, 1.0 - f[:, a], 0.0).reshape(per_point)
-        upper = nodal[np.minimum(c[:, a], m - 1)]
-        upper *= np.where(c[:, a] < m, f[:, a], 0.0).reshape(per_point)
-        work += upper
-        del upper
-        for j in reversed(rest):
-            t = f[:, j, None]
-            mj = 2 ** level[j] - 1
-            rows = _sine_rows(mj, c[:, j] + np.array([[0], [1]]))
-            weights = (1.0 - t) * rows[0]
-            weights += t * rows[1]
-            work = np.matmul(work.reshape(k, -1, mj), weights[:, :, None])
-        out[start : start + k] = work.reshape(k)
+        # point's np.matmul down another summation path).
+        work = nodal[lower[start:stop]]
+        k = len(work)
+        work *= lower_w[start:stop].reshape(per_point)
+        up = nodal[upper[start:stop]]
+        up *= upper_w[start:stop].reshape(per_point)
+        work += up
+        del up
+        for j, v, block in others:
+            if block is None:
+                c, f = table.cells(j, v)
+                weights = _sine_weights(2 ** v - 1, c[start:stop], f[start:stop])
+            else:
+                weights = block[start:stop]
+            work = np.matmul(work.reshape(k, -1, weights.shape[1]), weights[:, :, None])
+        out[start:stop] = work.reshape(k)
     return out
 
 
@@ -471,9 +568,14 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
     count the nodal grid of :func:`solve_poisson` is the cheaper route.
     """
     level = _solvable_level(p, l)
-    pts = _checked_points(x, level.dim)
+    return _solve_at_table(p, level, _PointTable(_checked_points(x, level.dim)))
+
+
+def _solve_at_table(p: ProblemSpec, level: LevelIndex, table: _PointTable) -> np.ndarray:
+    """:func:`solve_at_points` for a solvable ``level`` of ``p`` at the points
+    of ``table``, which the grids evaluated at those points share."""
     coeffs = _sine_coefficients(_sample_interior_rhs(p, level), level)
-    return _interpolate_coefficients(coeffs, level, *_cell_coordinates(level, pts))
+    return _interpolate_coefficients(coeffs, level, table)
 
 
 def apply_operator(g: GridFunction) -> GridFunction:

@@ -5,12 +5,14 @@ solver assembles the interior matrix explicitly and factorizes it, the
 combination coefficients come from a Pascal-triangle recurrence, the
 extrapolation weights are re-derived by exact Gaussian elimination of their
 defining linear system, interpolation loops over cell corners, and the
-higher-order equivalence is evaluated as a literal double sum. Agreement
-between the package and these slower routes is what the tests assert.
+higher-order equivalence is evaluated as a literal double sum, and the
+built-in problem's grid values come in closed form. Agreement between the
+package and these slower routes is what the tests assert.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -97,6 +99,38 @@ def interp_corners(full: np.ndarray, level, x) -> float:
         idx = tuple(cells[j] + corner[j] for j in range(len(level)))
         total += w * float(full[idx])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Closed-form grid values of the built-in problem
+
+
+def _node_sine(i: int, n: int) -> float:
+    # sin(pi i / n) at node i of a 1-D grid with n cells; 0 on the boundary.
+    return 0.0 if i in (0, n) else math.sin(math.pi * i / n)
+
+
+def builtin_grid_value(level, x) -> float:
+    """Value at ``x`` of the multilinear interpolant of the discrete solution
+    of the built-in problem f = d pi^2 prod_j sin(pi x_j) on the grid at
+    ``level``, without a solve.
+
+    sin(pi .) is an eigenvector of the 1-D second difference: at spacing
+    2**-v its eigenvalue is mu(v) = -4**(v+1) sin^2(pi / 2**(v+1)). So the
+    grid's solution at its nodes is d pi^2 / sum_j mu(l_j) times
+    prod_j sin(pi x_j), and its interpolant at x is that factor times the
+    product of the 1-D linear interpolants of sin(pi .) at each x_j. A grid
+    with a zero level has only boundary nodes and gives 0.
+    """
+    d = len(level)
+    mu = sum(-(4.0 ** (v + 1)) * math.sin(math.pi / 2 ** (v + 1)) ** 2 for v in level)
+    value = d * math.pi ** 2 / mu
+    for v, xj in zip(level, x):
+        n = 2 ** v
+        i = min(int(xj * n), n - 1)
+        t = xj * n - i
+        value *= (1.0 - t) * _node_sine(i, n) + t * _node_sine(i + 1, n)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,12 +34,15 @@ from sparsecombine.combine import (
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
     ProblemSpec,
+    _PointTable,
+    _solve_at_table,
     builtin_sine_problem,
     solve_at_points,
     solve_poisson,
 )
 
 from oracles import (
+    builtin_grid_value,
     compositions,
     ho_plan_by_accumulation,
     level_mass_by_fraction_sum,
@@ -475,6 +479,115 @@ def test_singleton_plan_matches_direct_solve():
     assert res.dof_total == LevelIndex((5, 4)).node_count()
     assert res.dof_unique == res.dof_total
     assert res.grids_solved == 1
+
+
+def _wavy_grid_problem(d, seed):
+    # A non-separable right-hand side with a vectorized sampler.
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(1.0, 7.0, size=d)
+
+    def rhs(x):
+        return math.cos(sum(f * xj for f, xj in zip(freqs, x)) + 0.3) * math.exp(x[0])
+
+    def rhs_grid(level):
+        axes = [np.arange(1, 2 ** v) * 2.0 ** -v for v in level]
+        shapes = [(-1,) + (1,) * (d - 1 - j) for j in range(d)]
+        arg = sum(f * ax.reshape(s) for f, ax, s in zip(freqs, axes, shapes))
+        return np.cos(arg + 0.3) * np.exp(axes[0].reshape(shapes[0]))
+
+    return ProblemSpec(dim=d, rhs=rhs, rhs_grid=rhs_grid)
+
+
+_TABLE_MAX_LEVEL = {1: 10, 2: 6, 3: 4, 4: 3}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(min_value=1, max_value=_TABLE_MAX_LEVEL[d])] * d),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    ),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+)
+def test_shared_point_table_bit_identical(levels, seed):
+    # One point table shared by several grids, in any order, gives each grid
+    # the bits of solve_at_points with a table of its own, whether the table
+    # keeps its sine weight blocks or rebuilds them per chunk; and a plan over
+    # those grids is the fsum of their coefficient-weighted values.
+    rng = np.random.default_rng(seed)
+    d = len(levels[0])
+    p = _wavy_grid_problem(d, seed)
+    # Points per chunk of each grid (see pde._interpolate_coefficients); twice
+    # the largest plus one gives every grid at least three chunks.
+    steps = [
+        max(math.prod(2 ** v - 1 for v in lv), 2 ** 14)
+        * (2 ** max(lv) - 1)
+        // math.prod(2 ** v - 1 for v in lv)
+        for lv in levels
+    ]
+    pts = rng.uniform(0.0, 1.0, size=(2 * max(steps) + 1, d))
+    node_level = levels[rng.integers(len(levels))]
+    pts[::7] = [[rng.integers(0, 2 ** v + 1) / 2 ** v for v in node_level] for _ in pts[::7]]
+    pts[1::11, rng.integers(d)] = rng.choice([0.0, 1.0], size=len(pts[1::11]))
+    pts[2] = rng.choice([0.0, 1.0], size=d)
+
+    fresh = {lv: solve_at_points(p, lv, pts) for lv in levels}
+    kept, rebuilt = _PointTable(pts), _PointTable(pts)
+    rebuilt._room = 0  # keeps no sine weight block
+    for i in rng.permutation(len(levels)):
+        lv = LevelIndex(levels[i])
+        for table in (kept, rebuilt):
+            assert _solve_at_table(p, lv, table).tobytes() == fresh[levels[i]].tobytes()
+
+    plan = CombinationPlan(
+        d, {lv: Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 7))) for lv in levels}
+    )
+    weighted = [(float(c), fresh[tuple(lv)]) for lv, c in plan.items()]
+    want = [math.fsum(c * values[k] for c, values in weighted) for k in range(len(pts))]
+    assert list(evaluate_plan(p, plan, pts).values) == want
+
+
+def test_evaluate_plan_memory_bounded():
+    # All grids of an evaluation share one point table, whose sine weight
+    # blocks are bounded: 20,000 points never cost a K x 511 block (78 MiB)
+    # for the grid (9, 9). Measured peak: 18 MiB.
+    rng = np.random.default_rng(6)
+    p = builtin_sine_problem(2)
+    pts = rng.uniform(0.0, 1.0, size=(20_000, 2))
+    plan = CombinationPlan(2, {(12, 2): 1, (9, 9): -1})
+    evaluate_plan(p, plan, pts[:3])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        evaluate_plan(p, plan, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(pts) * 511 * 8 / 3
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_hosg_matches_closed_form_oracle(d):
+    # The built-in problem's grid values in closed form (no solve), summed
+    # with the plan's coefficients, against evaluate_plan at the default
+    # point and three random points. The tolerance is 4 eps sum_l |c_l v_l|,
+    # the a-priori rounding scale of the combination; the measured worst
+    # ratio over d = 4..7, n = 1..2 is 0.26.
+    rng = np.random.default_rng(d)
+    pts = np.vstack([default_eval_point(d), rng.uniform(0.0, 1.0, size=(3, d))])
+    p = builtin_sine_problem(d)
+    cache = GridCache()
+    for n in (1, 2):
+        plan = method_plan("HOSG", d, n, 0)
+        got = evaluate_plan(p, plan, pts, cache).values
+        solvable = [(float(c), lv) for lv, c in plan.items() if min(lv) > 0]
+        for k, x in enumerate(pts):
+            parts = [c * builtin_grid_value(lv, x) for c, lv in solvable]
+            scale = math.fsum(map(abs, parts))
+            assert abs(got[k] - math.fsum(parts)) <= 4 * 2.0 ** -52 * scale, (n, k)
 
 
 def test_zero_level_terms_contribute_zero_without_solving():
