@@ -7,7 +7,8 @@ values are read from its sine coefficients (as ``pde.solve_at_points``: one
 inverse transform along the grid's longest direction, then per-point weights
 in the others), so no nodal grid is formed and only K floats per grid
 outlive the solve. The grids of one evaluation share one point table, so the
-points' cells and weights are built once per (direction, level) pair.
+points' cells and weights are built once per (direction, level) pair, as are
+the 1-D transforms of a separable right-hand side's factors.
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
 sorted level order so results are bit-identical regardless of caching or the
@@ -600,7 +601,8 @@ def evaluate_plan(
 
     Each grid's values at the points are computed from its sine coefficients
     as by ``solve_at_points`` (or fetched from ``cache``), all grids reading
-    one table of the points' cells and weights; no nodal grid is formed.
+    one table of the points' cells and weights and, for separable data, one
+    cache of the factors' 1-D transforms; no nodal grid is formed.
     Grids with a zero level in some direction have no interior unknown under
     homogeneous Dirichlet data; their value is exactly 0.0, so they are
     neither solved nor summed. The other levels are solved one after another
@@ -627,9 +629,10 @@ def evaluate_plan(
         cache = GridCache()
     points_key = pts.tobytes()
     table = _PointTable(pts)
+    factors: dict = {}
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
-        return tuple(_solve_at_table(p, key[0], table).tolist())
+        return tuple(_solve_at_table(p, key[0], table, factors).tolist())
 
     entries: dict[LevelIndex, tuple[float, ...]] = {}
     newly_solved: list[LevelIndex] = []

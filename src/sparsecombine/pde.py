@@ -18,6 +18,14 @@ directions' coefficients with one sine weight vector per point and
 direction. Those rows, blend weights and sine weight vectors depend only on
 the points and on one (direction, level) pair, so grids evaluated at the same
 points share them through one point table (``_PointTable``).
+
+For separable data f = c * prod_j g_j(x_j) (``ProblemSpec.rhs_factors``) the
+right-hand side's sine coefficients are the outer product of the factors' 1-D
+sine transforms, so no N-sized array is transformed before the division.
+Those 1-D transforms are computed in ``np.longdouble`` and rounded once to
+float64, and grids evaluated together share them per (direction, level).
+Where ``np.longdouble`` is float64 (Windows, macOS on arm64) they have
+float64 accuracy.
 """
 
 from __future__ import annotations
@@ -77,6 +85,13 @@ class ProblemSpec:
     fast path: given a LevelIndex it returns f sampled on the interior nodes
     as an array of shape (2**l_0 - 1, ..., 2**l_{d-1} - 1); it must agree with
     ``rhs`` pointwise.
+
+    ``rhs_factors`` (optional) declares separable data f = c * prod_j
+    g_j(x_j) as a pair ``(c, g)``: ``g(j, v)`` returns g_j at the 2**v - 1
+    interior nodes of direction j at level v. The solvers then take f's sine
+    coefficients from the factors' 1-D transforms (computed in
+    ``np.longdouble``, which is float64 on Windows and macOS on arm64) and
+    never transform a sampled grid. It must agree with ``rhs``.
     """
 
     dim: int
@@ -84,6 +99,7 @@ class ProblemSpec:
     exact: Optional[Callable[[Point], float]] = None
     name: str = "custom"
     rhs_grid: Optional[Callable[[LevelIndex], np.ndarray]] = None
+    rhs_factors: Optional[tuple[float, Callable[[int, int], np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -131,7 +147,14 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
         out *= d * np.pi ** 2
         return out
 
-    return ProblemSpec(dim=d, rhs=rhs, exact=exact, name=f"sine-{d}d", rhs_grid=rhs_grid)
+    return ProblemSpec(
+        dim=d,
+        rhs=rhs,
+        exact=exact,
+        name=f"sine-{d}d",
+        rhs_grid=rhs_grid,
+        rhs_factors=(d * np.pi ** 2, lambda j, v: _interior_sines(v)),
+    )
 
 
 def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
@@ -293,18 +316,62 @@ def _eigenvalues_1d(level: int) -> np.ndarray:
     return out
 
 
-def _sine_coefficients(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
-    """Sine coefficients of the discrete solution for interior data ``f_int``.
+def _factor_coefficients(
+    p: ProblemSpec, j: int, level: LevelIndex, factors: dict
+) -> np.ndarray:
+    """The sine transform of p's factor g_j at direction j of ``level``, as
+    :func:`sine_transform` defines it (0.5 DST-I), computed in
+    ``np.longdouble`` and rounded once to float64; a level-1 direction is not
+    transformed. Read-only, and kept in ``factors`` per (direction, level
+    value), so its bits do not depend on what the cache held before."""
+    key = (j, level[j])
+    out = factors.get(key)
+    if out is None:
+        m = 2 ** level[j] - 1
+        work = np.asarray(p.rhs_factors[1](j, level[j]), dtype=np.longdouble)
+        if work.shape != (m,):
+            raise ValueError(
+                f"rhs_factors returned shape {work.shape} for direction {j} "
+                f"of level {tuple(level)}, expected {(m,)}"
+            )
+        if m > 1:
+            work = 0.5 * _scipy_fft().dst(work, type=1)
+        out = factors[key] = work.astype(np.float64)
+        out.setflags(write=False)
+    return out
+
+
+def _sine_coefficients(
+    p: ProblemSpec,
+    level: LevelIndex,
+    factors: dict,
+    f_int: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Sine coefficients of the discrete solution of ``p`` on ``level``.
 
     Applying :func:`sine_transform` along every direction to the result gives
-    the interior nodal values. A direction at level 1 has one interior node
-    and a 1x1 sine matrix equal to the identity, so it is not transformed.
-    ``f_int`` is not modified.
+    the interior nodal values. For separable data the right-hand side's
+    coefficients are c times the outer product of its factors' transforms
+    (:func:`_factor_coefficients`, cached in ``factors``). Otherwise they are
+    the forward transforms of the interior data ``f_int``, sampled here when
+    not given and never modified; a direction at level 1 has one interior
+    node and a 1x1 sine matrix equal to the identity, so it is not
+    transformed. Either way they are divided by the summed eigenvalues.
     """
-    work = f_int
-    for axis, v in enumerate(level):
-        if v > 1:
-            work = sine_transform(work, axis)
+    if p.rhs_factors is not None:
+        work = _outer(
+            np.multiply,
+            [_factor_coefficients(p, j, level, factors) for j in range(level.dim)],
+        )
+        if level.dim == 1:  # work is the cached vector itself
+            work = work * p.rhs_factors[0]
+        else:
+            work *= p.rhs_factors[0]
+    else:
+        work = f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
+        for axis, v in enumerate(level):
+            if v > 1:
+                work = sine_transform(work, axis)
     # The inverse transforms' factors 2/(m+1) = 2**(1-l) multiply into one
     # power of two on the denominator, which scales every rounding exactly.
     scale = 2.0 ** (sum(level) - level.dim)
@@ -315,8 +382,10 @@ def _sine_coefficients(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
     return work
 
 
-def _fast_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
-    work = _sine_coefficients(f_int, level)
+def _fast_solve_interior(
+    p: ProblemSpec, level: LevelIndex, f_int: np.ndarray
+) -> np.ndarray:
+    work = _sine_coefficients(p, level, {}, f_int)
     for axis, v in enumerate(level):
         if v > 1:
             work = sine_transform(work, axis)
@@ -541,9 +610,12 @@ def solve_poisson(
 
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    solve = _fast_solve_interior if method == "fast" else _cg_solve_interior
+    if method == "fast":
+        interior = _fast_solve_interior(p, level, f_int)
+    else:
+        interior = _cg_solve_interior(f_int, level)
     full = np.zeros(level.points_per_direction())
-    full[tuple(slice(1, -1) for _ in level)] = solve(f_int, level)
+    full[tuple(slice(1, -1) for _ in level)] = interior
     grid = GridFunction._from_owned(level, full)
     report = SolverReport(
         level=level, solve_seconds=time.perf_counter() - t0, rhs=f_int, grid=grid
@@ -557,7 +629,10 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
 
     ``x`` is one point or a (K, d) array of points; K values are returned.
     The solve is the one :func:`solve_poisson` makes up to its sine
-    coefficients. Of the inverse transforms only the one along the longest
+    coefficients; for separable data (``p.rhs_factors``) those come from the
+    factors' 1-D transforms in ``np.longdouble`` (float64 on Windows and
+    macOS on arm64), and the right-hand side is never sampled on the grid.
+    Of the inverse transforms only the one along the longest
     direction is applied; the other directions are contracted with each
     point's interpolation weights. The values agree with
     ``multilinear_eval(solve_poisson(p, l)[0], x)`` to rounding, and each
@@ -571,10 +646,17 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
     return _solve_at_table(p, level, _PointTable(_checked_points(x, level.dim)))
 
 
-def _solve_at_table(p: ProblemSpec, level: LevelIndex, table: _PointTable) -> np.ndarray:
+def _solve_at_table(
+    p: ProblemSpec,
+    level: LevelIndex,
+    table: _PointTable,
+    factors: Optional[dict] = None,
+) -> np.ndarray:
     """:func:`solve_at_points` for a solvable ``level`` of ``p`` at the points
-    of ``table``, which the grids evaluated at those points share."""
-    coeffs = _sine_coefficients(_sample_interior_rhs(p, level), level)
+    of ``table``, which the grids evaluated at those points share, as they
+    share the factor transforms ``factors`` of separable data (a fresh cache
+    when None)."""
+    coeffs = _sine_coefficients(p, level, {} if factors is None else factors)
     return _interpolate_coefficients(coeffs, level, table)
 
 

@@ -12,6 +12,7 @@ package and these slower routes is what the tests assert.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -131,6 +132,40 @@ def builtin_grid_value(level, x) -> float:
         t = xj * n - i
         value *= (1.0 - t) * _node_sine(i, n) + t * _node_sine(i + 1, n)
     return value
+
+
+# pi to 60 digits, for sines in decimal arithmetic.
+PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def decimal_sine(q, n) -> decimal.Decimal:
+    """sin(pi q / n) from its Taylor series in 60-digit decimal arithmetic,
+    for 0 <= q <= n (q may be a Decimal)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(PI_DIGITS) * q / n
+        term, total, k = x, x, 1
+        while abs(term) > decimal.Decimal(10) ** -55:
+            term = -term * x * x / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return total
+
+
+def builtin_grid_value_decimal(level, x) -> decimal.Decimal:
+    """:func:`builtin_grid_value` in 60-digit decimal arithmetic, from the
+    float coordinates of ``x`` taken exactly: a reference that measures the
+    rounding of a grid's float value rather than estimating it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        mu = sum(-(4 ** (v + 1)) * decimal_sine(1, 2 ** (v + 1)) ** 2 for v in level)
+        value = len(level) * decimal.Decimal(PI_DIGITS) ** 2 / mu
+        for v, xj in zip(level, x):
+            n = 2 ** v
+            i = min(int(xj * n), n - 1)
+            t = decimal.Decimal(xj) * n - i
+            value *= (1 - t) * decimal_sine(i, n) + t * decimal_sine(i + 1, n)
+        return value
 
 
 # ---------------------------------------------------------------------------

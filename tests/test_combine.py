@@ -639,6 +639,26 @@ def test_evaluate_plan_wraps_solver_errors():
     assert tuple(exc.value.level) == (3,)
 
 
+def test_wrong_length_factor_names_level_and_direction():
+    # A separable factor of the wrong length is refused as rhs_grid's wrong
+    # shape is, naming the level and the direction; a plan evaluation
+    # carries the level.
+    p = ProblemSpec(
+        dim=2,
+        rhs=lambda x: 1.0,
+        rhs_factors=(1.0, lambda j, v: np.ones(2 ** v - 1 - j)),
+    )
+    message = r"direction 1 of level \(3, 2\), expected \(3,\)"
+    with pytest.raises(ValueError, match=message):
+        solve_at_points(p, (3, 2), (0.5, 0.5))
+    with pytest.raises(ValueError, match=message):
+        solve_poisson(p, (3, 2))
+    with pytest.raises(PlanEvaluationError, match=message) as exc:
+        evaluate_plan(p, CombinationPlan(2, {(3, 2): 1}), (0.5, 0.5))
+    assert tuple(exc.value.level) == (3, 2)
+    assert isinstance(exc.value.__cause__, ValueError)
+
+
 def test_cache_reuse_and_incremental_dof():
     p = builtin_sine_problem(2)
     cache = GridCache()

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecombine.combine import default_eval_point, method_plan
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
     DegenerateGridError,
     ProblemSpec,
+    _PointTable,
+    _solve_at_table,
     apply_operator,
     builtin_sine_problem,
     inverse_sine_transform,
@@ -19,7 +22,12 @@ from sparsecombine.pde import (
     solve_poisson,
 )
 
-from oracles import interp_corners, solve_assembled
+from oracles import (
+    builtin_grid_value_decimal,
+    decimal_sine,
+    interp_corners,
+    solve_assembled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +114,8 @@ def test_direct_and_fft_paths_agree():
         np.testing.assert_allclose(sine_transform(v, axis=0), fft_way, atol=1e-11)
 
 
-# pi to 60 digits, for reference sines in decimal arithmetic.
-_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
-
-
 def _reference_sine(q, n):
-    # sin(pi q / n) from its Taylor series in 60-digit decimal arithmetic.
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        x = decimal.Decimal(_PI_DIGITS) * q / n
-        term, total, k = x, x, 1
-        while abs(term) > decimal.Decimal(10) ** -55:
-            term = -term * x * x / ((2 * k) * (2 * k + 1))
-            total += term
-            k += 1
-        return float(total)
+    return float(decimal_sine(q, n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 7, 12, 33, 64, 65, 256, 1024])
@@ -430,6 +425,102 @@ def test_high_dimension_matches_assembled_oracle(d):
         want = [interp_corners(ref, level, x) for x in pts]
         got = solve_at_points(p, level, pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def _separable_problems(d, seed):
+    # f = c prod_j g_j(x_j) with smooth random factors g_j(x) =
+    # cos(a_j x + b_j) + e_j x^2, given once by its factors and once by its
+    # sampled grid only.
+    rng = np.random.default_rng(seed)
+    a, b, e = rng.uniform(0.5, 6.0, size=(3, d))
+    c = float(rng.uniform(-3.0, 3.0))
+
+    def g(j, v):
+        x = np.arange(1, 2 ** v) * 2.0 ** -v
+        return np.cos(a[j] * x + b[j]) + e[j] * x * x
+
+    def rhs(x):
+        return c * math.prod(
+            math.cos(a[j] * xj + b[j]) + e[j] * xj * xj for j, xj in enumerate(x)
+        )
+
+    def rhs_grid(level):
+        return reduce(np.multiply, np.ix_(*[g(j, v) for j, v in enumerate(level)])) * c
+
+    return (
+        ProblemSpec(dim=d, rhs=rhs, rhs_factors=(c, g)),
+        ProblemSpec(dim=d, rhs=rhs, rhs_grid=rhs_grid),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(
+            st.integers(min_value=1, max_value=_MAX_LEVEL[d]), min_size=d, max_size=d
+        )
+    ),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+)
+def test_factored_rhs_matches_sampled(levels, seed):
+    # Separable data solved from its factors' 1-D transforms and from its
+    # sampled grid: point values and nodal grids agree within the assembled
+    # oracle's tolerance (measured worst deviations over 400 such draws:
+    # 4e-16 * max|u| for points, 7e-16 * max|u| for grids).
+    factored, sampled = _separable_problems(len(levels), seed)
+    pts = _probe_points(levels, np.random.default_rng(seed))
+    u, _ = solve_poisson(sampled, levels)
+    tol = 1e-13 * float(np.max(np.abs(u.values)))
+    np.testing.assert_allclose(
+        solve_at_points(factored, levels, pts),
+        solve_at_points(sampled, levels, pts),
+        rtol=0,
+        atol=tol,
+    )
+    v, _ = solve_poisson(factored, levels)
+    np.testing.assert_allclose(v.values, u.values, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_factor_cache_bit_identical(d):
+    # A level's values are the same bits whether the factor transforms it
+    # reads were cached while other levels were evaluated or are computed
+    # fresh; the cache holds one vector per (direction, level value).
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(0.0, 1.0, size=(9, d))
+    levels = [LevelIndex(rng.integers(1, 8 - d, size=d)) for _ in range(12)]
+    for p in (builtin_sine_problem(d), _separable_problems(d, d)[0]):
+        table, warm = _PointTable(pts), {}
+        for level in levels:
+            _solve_at_table(p, level, table, warm)
+        for level in reversed(levels):
+            fresh = _solve_at_table(p, level, _PointTable(pts), {})
+            assert _solve_at_table(p, level, table, warm).tobytes() == fresh.tobytes()
+            assert solve_at_points(p, level, pts).tobytes() == fresh.tobytes()
+        assert len(warm) == len({(j, v) for level in levels for j, v in enumerate(level)})
+
+
+def test_builtin_grid_values_match_decimal_closed_form():
+    # Every grid of the HOSG d = 3 plans for n <= 8 (level shift 1) at the
+    # default point, against the built-in problem's closed-form grid value in
+    # 60-digit arithmetic. The rms of the relative errors was 2.56e-16 when
+    # the right-hand side was transformed as a sampled grid; the factors'
+    # transforms in extended precision give 1.75e-16 (x86-64), and 2.1-2.4e-16
+    # where np.longdouble is float64.
+    p = builtin_sine_problem(3)
+    x = default_eval_point(3)
+    levels = {
+        lv for n in range(1, 9) for lv in method_plan("HOSG", 3, n, 1).terms if min(lv) > 0
+    }
+    errors = []
+    for level in sorted(levels):
+        ref = builtin_grid_value_decimal(level, x)
+        errors.append(float((decimal.Decimal(solve_at_points(p, level, x)[0]) - ref) / ref))
+    rms = math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+    assert len(errors) == 517
+    assert rms < 2.6e-16
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        assert rms < 2.0e-16
 
 
 # ---------------------------------------------------------------------------
