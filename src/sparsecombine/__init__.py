@@ -16,7 +16,6 @@ from .grid import (
 from .pde import (
     DegenerateGridError,
     ProblemSpec,
-    SolverConvergenceError,
     SolverReport,
     apply_operator,
     builtin_sine_problem,
@@ -73,7 +72,6 @@ __all__ = [
     "ProblemSpec",
     "SolverReport",
     "DegenerateGridError",
-    "SolverConvergenceError",
     "builtin_sine_problem",
     "solve_poisson",
     "solve_at_points",

@@ -21,6 +21,7 @@ from .combine import (
     STUDY_METHODS,
     BudgetExceededError,
     ConvergenceRecord,
+    PlanEvaluationError,
     default_eval_point,
     extrapolation_weights,
     hierarchical_surplus_study,
@@ -265,7 +266,6 @@ def cmd_solve(
     dim: int,
     level: Sequence[int],
     point: Optional[Sequence[float]] = None,
-    method: str = "fast",
     stream: Optional[TextIO] = None,
 ) -> int:
     """Solve the built-in problem on one grid and report values (debug aid).
@@ -286,7 +286,7 @@ def cmd_solve(
             projected=lv.node_count(),
             budget=budget,
         )
-    grid, report = solve_poisson(problem, lv, method=method)
+    grid, report = solve_poisson(problem, lv)
     value = multilinear_eval(grid, pt)
     payload = {
         "level": list(lv),
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--dim", type=int, required=True)
     solve.add_argument("--level", type=_parse_levels, required=True, help="levels 'l1,l2,...'")
     solve.add_argument("--point", type=_parse_point, default="auto")
-    solve.add_argument("--solver", choices=("fast", "cg"), default="fast")
     solve.set_defaults(func=_run_solve)
 
     return parser
@@ -462,7 +461,7 @@ def _run_plan(args: argparse.Namespace) -> int:
 
 def _run_solve(args: argparse.Namespace) -> int:
     point = None if args.point == "auto" else args.point
-    return cmd_solve(args.dim, args.level, point, method=args.solver)
+    return cmd_solve(args.dim, args.level, point)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -476,6 +475,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         # A bare MemoryError carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except PlanEvaluationError as exc:
+        # A grid that cannot be allocated or solved; the message names its level.
+        if not isinstance(exc.__cause__, (ValueError, MemoryError)):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

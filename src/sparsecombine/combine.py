@@ -644,7 +644,8 @@ def evaluate_plan(
         except Exception as exc:
             raise PlanEvaluationError(
                 f"while solving level {tuple(level)} "
-                f"for plan {plan.label or '<unnamed>'}: {exc}",
+                f"for plan {plan.label or '<unnamed>'}: "
+                f"{str(exc) or type(exc).__name__}",
                 level=level,
             ) from exc
         if mine:

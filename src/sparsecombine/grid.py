@@ -10,7 +10,6 @@ Direction indices are 0-based throughout the package.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Iterable, Sequence
 
 from ._lazy import np
@@ -161,31 +160,6 @@ class GridFunction:
             out[idx] = fn(tuple(axes[j][i] for j, i in enumerate(idx)))
         return cls._from_owned(lv, out)
 
-    # -- serialization: header (d, levels) + raw little-endian float64 payload
-
-    def to_bytes(self) -> bytes:
-        d = self.level.dim
-        header = struct.pack("<I", d) + struct.pack(f"<{d}I", *self.level)
-        return header + self.values.astype("<f8", copy=False).tobytes()
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "GridFunction":
-        if len(buf) < 4:
-            raise ValueError("truncated grid buffer")
-        (d,) = struct.unpack_from("<I", buf, 0)
-        if d < 1 or len(buf) < 4 + 4 * d:
-            raise ValueError("truncated grid header")
-        levels = struct.unpack_from(f"<{d}I", buf, 4)
-        lv = LevelIndex(levels)
-        payload = buf[4 + 4 * d :]
-        expected = 8 * lv.node_count()
-        if len(payload) != expected:
-            raise ValueError(
-                f"grid payload has {len(payload)} bytes, expected {expected}"
-            )
-        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        return cls._from_owned(lv, values)
-
     def __repr__(self) -> str:
         return f"GridFunction(level={tuple(self.level)}, nodes={self.values.size})"
 
@@ -210,18 +184,17 @@ def _checked_points(x, d: int) -> np.ndarray:
     return pts
 
 
-def _cell_coordinates(
-    level: LevelIndex, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, fracs) of checked (K, d) points on the grid at ``level``.
+def _cell_coordinates(x: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, fracs) of checked coordinates ``x`` in [0, 1] along a direction
+    at level ``v``.
 
-    cells[k, j] is the index of the lower node of the cell holding point k in
-    direction j, and fracs[k, j] in [0, 1] its offset from that node in mesh
-    widths. Both are exact (the scaling is by powers of two).
+    cells[k] = min(int(x[k] * 2**v), 2**v - 1) is the index of the lower node
+    of the cell holding x[k], and fracs[k] in [0, 1] its offset from that node
+    in mesh widths. Both are exact (the scaling is by a power of two).
     """
-    m = np.array([2 ** v for v in level])  # number of cells per direction
-    t = pts * m
-    cells = np.minimum(t.astype(np.intp), m - 1)
+    n = 2 ** v  # cells in the direction
+    t = x * n
+    cells = np.minimum(t.astype(np.intp), n - 1)
     return cells, t - cells
 
 
@@ -238,15 +211,15 @@ def multilinear_eval(g: GridFunction, x):
     lv = g.level
     pts = _checked_points(x, lv.dim)
     k, d = pts.shape
-    cells, fracs = _cell_coordinates(lv, pts)
+    cells = [_cell_coordinates(pts[:, j], v) for j, v in enumerate(lv)]
     # Gather the 2**d corner values of each point's cell: shape (K, 2, ..., 2).
     corners = []
-    for j in range(d):
+    for j, (c, _) in enumerate(cells):
         shape = [k] + [1] * d
         shape[j + 1] = 2
-        corners.append((cells[:, j, None] + (0, 1)).reshape(shape))
+        corners.append((c[:, None] + (0, 1)).reshape(shape))
     block = g.ndview()[tuple(corners)]
-    for j in range(d):
-        tj = fracs[:, j].reshape((k,) + (1,) * (d - 1 - j))
+    for j, (_, f) in enumerate(cells):
+        tj = f.reshape((k,) + (1,) * (d - 1 - j))
         block = (1.0 - tj) * block[:, 0] + tj * block[:, 1]
     return float(block[0]) if np.ndim(x) == 1 else block

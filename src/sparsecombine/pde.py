@@ -2,7 +2,7 @@
 
 The operator is the second-order central discretization of sum_k d^2/dx_k^2
 (note the sign: not the negative Laplacian) with homogeneous Dirichlet data on
-the unit cube. The primary solver is tensor-product fast diagonalization: the
+the unit cube. The solver is tensor-product fast diagonalization: the
 interior operator is a Kronecker sum of 1D second-difference matrices whose
 eigenvectors are discrete sine modes, so a solve is one forward sine transform
 per direction, a pointwise division by summed eigenvalues, and the inverse
@@ -38,13 +38,12 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from ._lazy import np
-from .grid import GridFunction, LevelIndex, Point, _checked_points
+from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
 
 __all__ = [
     "ProblemSpec",
     "SolverReport",
     "DegenerateGridError",
-    "SolverConvergenceError",
     "builtin_sine_problem",
     "solve_poisson",
     "solve_at_points",
@@ -66,14 +65,6 @@ _TABLE_ENTRIES = 64 * _CHUNK_ENTRIES
 
 class DegenerateGridError(ValueError):
     """Raised for grids with no interior node in some direction (l_j = 0)."""
-
-
-class SolverConvergenceError(RuntimeError):
-    """Iterative fallback failed to converge; carries the residual reached."""
-
-    def __init__(self, message: str, residual_inf: float) -> None:
-        super().__init__(message)
-        self.residual_inf = residual_inf
 
 
 @dataclass(frozen=True)
@@ -142,8 +133,6 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
 
     def rhs_grid(level: LevelIndex) -> np.ndarray:
         out = _outer(np.multiply, [_interior_sines(v) for v in level])
-        if len(level) == 1:  # out is the cached vector itself
-            return out * (d * np.pi ** 2)
         out *= d * np.pi ** 2
         return out
 
@@ -172,12 +161,12 @@ def _interior_sines(v: int) -> np.ndarray:
 
 def _outer(op, vectors: list[np.ndarray]) -> np.ndarray:
     """The d-dimensional array (v0[i0] op v1[i1]) op ... op v_{d-1}[i_{d-1}],
-    folded from the left by broadcasting; a single vector is returned as is."""
+    folded from the left by broadcasting; always a new array."""
     d = len(vectors)
     out = vectors[0].reshape((-1,) + (1,) * (d - 1))
     for j in range(1, d):
         out = op(out, vectors[j].reshape((-1,) + (1,) * (d - 1 - j)))
-    return out
+    return out if d > 1 else out.copy()
 
 
 # pi as the sum of two doubles: the float64 pi and its rounding error.
@@ -363,10 +352,7 @@ def _sine_coefficients(
             np.multiply,
             [_factor_coefficients(p, j, level, factors) for j in range(level.dim)],
         )
-        if level.dim == 1:  # work is the cached vector itself
-            work = work * p.rhs_factors[0]
-        else:
-            work *= p.rhs_factors[0]
+        work *= p.rhs_factors[0]
     else:
         work = f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
         for axis, v in enumerate(level):
@@ -379,16 +365,6 @@ def _sine_coefficients(
     if work is f_int:
         return work / denom
     np.divide(work, denom, out=work)
-    return work
-
-
-def _fast_solve_interior(
-    p: ProblemSpec, level: LevelIndex, f_int: np.ndarray
-) -> np.ndarray:
-    work = _sine_coefficients(p, level, {}, f_int)
-    for axis, v in enumerate(level):
-        if v > 1:
-            work = sine_transform(work, axis)
     return work
 
 
@@ -408,7 +384,7 @@ class _PointTable:
     evaluated at it shares, built per (direction, level) pair at first use.
 
     ``cells`` gives each point's lower node index and its offset from that
-    node in mesh widths (as ``grid._cell_coordinates``); ``blend`` the rows
+    node in mesh widths (``grid._cell_coordinates``); ``blend`` the rows
     of the two nodes a point blends when the direction is a grid's longest
     (row i holds node i + 1) and their weights, zeroed for the boundary
     nodes 0 and m + 1, which hold 0; ``weights`` the K x m sine
@@ -428,10 +404,7 @@ class _PointTable:
     def cells(self, j: int, v: int) -> tuple[np.ndarray, np.ndarray]:
         entry = self._cells.get((j, v))
         if entry is None:
-            n = 2 ** v  # cells per direction; the scaling is exact
-            t = self.pts[:, j] * n
-            c = np.minimum(t.astype(np.intp), n - 1)
-            entry = self._cells[j, v] = (c, t - c)
+            entry = self._cells[j, v] = _cell_coordinates(self.pts[:, j], v)
         return entry
 
     def blend(self, j: int, v: int) -> tuple[np.ndarray, ...]:
@@ -547,36 +520,6 @@ def _sample_interior_rhs(p: ProblemSpec, level: LevelIndex) -> np.ndarray:
     return out
 
 
-def _cg_solve_interior(f_int: np.ndarray, level: LevelIndex) -> np.ndarray:
-    import scipy.sparse.linalg  # only the CG solver needs scipy.sparse
-
-    inv_h2 = tuple(4.0 ** v for v in level)
-    shape = f_int.shape
-    n = f_int.size
-    full_shape = tuple(m + 2 for m in shape)
-    core = tuple(slice(1, -1) for _ in shape)
-
-    def matvec(vec: np.ndarray) -> np.ndarray:
-        full = np.zeros(full_shape)
-        full[core] = vec.reshape(shape)
-        return _stencil_interior(full, inv_h2).reshape(-1)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec)
-    b = f_int.reshape(-1)
-    try:
-        sol, info = scipy.sparse.linalg.cg(op, b, rtol=1e-12, atol=0.0, maxiter=10 * n)
-    except TypeError:  # older scipy spells the relative tolerance "tol"
-        sol, info = scipy.sparse.linalg.cg(op, b, tol=1e-12, atol=0.0, maxiter=10 * n)
-    if info != 0:
-        res = float(np.max(np.abs(matvec(sol) - b)))
-        raise SolverConvergenceError(
-            f"CG did not converge on grid {tuple(level)} (info={info}), "
-            f"residual_inf={res:.3e}",
-            residual_inf=res,
-        )
-    return sol.reshape(shape)
-
-
 def _solvable_level(p: ProblemSpec, l) -> LevelIndex:
     level = LevelIndex(l)
     if p.dim != level.dim:
@@ -588,15 +531,13 @@ def _solvable_level(p: ProblemSpec, l) -> LevelIndex:
     return level
 
 
-def solve_poisson(
-    p: ProblemSpec, l, method: str = "fast"
-) -> tuple[GridFunction, SolverReport]:
+def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
     """Solve the discrete problem on the grid at level ``l``.
 
     Returns the nodal solution (boundary entries exactly 0) and a report whose
     max-norm interior residual is measured when first read (``solve_seconds``
-    does not include it). Both solver paths produce the solution in
-    a single pass: the fast path is a direct method, exact up to rounding, so
+    does not include it). The solve is :func:`_sine_coefficients` followed by
+    the inverse sine transforms: a direct method, exact up to rounding, so
     re-solving against the measured residual cannot improve the stored
     solution and is never attempted. The reported residual is the honestly
     measured value; note that evaluating the stencil in float64 scales nodal
@@ -605,15 +546,12 @@ def solve_poisson(
     eps * sum_k h_k^-2 * (1 + max|u_h|) even though the solution is accurate.
     """
     level = _solvable_level(p, l)
-    if method not in ("fast", "cg"):
-        raise ValueError(f"unknown solver method {method!r}")
-
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    if method == "fast":
-        interior = _fast_solve_interior(p, level, f_int)
-    else:
-        interior = _cg_solve_interior(f_int, level)
+    interior = _sine_coefficients(p, level, {}, f_int)
+    for axis, v in enumerate(level):
+        if v > 1:
+            interior = sine_transform(interior, axis)
     full = np.zeros(level.points_per_direction())
     full[tuple(slice(1, -1) for _ in level)] = interior
     grid = GridFunction._from_owned(level, full)
@@ -624,7 +562,7 @@ def solve_poisson(
 
 
 def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
-    """Values at ``x`` of the multilinear interpolant of the fast solution on
+    """Values at ``x`` of the multilinear interpolant of the solution on
     the grid at level ``l``, without forming the nodal grid.
 
     ``x`` is one point or a (K, d) array of points; K values are returned.

@@ -30,6 +30,7 @@ from sparsecombine.combine import (
     DEFAULT_NODE_BUDGET,
     CombinationPlan,
     ConvergenceRecord,
+    PlanEvaluationError,
     _band,
     extrapolation_plan,
     ho_plan,
@@ -237,6 +238,7 @@ def test_study_single_record(tmp_path):
         ["study", "--dim", "2", "--n-min", "3", "--n-max", "4"],  # method missing
         ["study", "--method", "SG", "--n-min", "3", "--n-max", "4"],  # dim missing
         ["nonsense-subcommand"],
+        ["solve", "--dim", "2", "--level", "4,4", "--solver", "cg"],
     ],
 )
 def test_bad_config_exits_3(argv, capsys):
@@ -661,6 +663,48 @@ def test_study_out_of_memory_exits_3_without_traceback(
     err = capsys.readouterr().err
     assert reported in err
     assert "Traceback" not in err
+
+
+def test_study_grid_too_big_exits_3_naming_level(capsys):
+    # numpy refuses the 2**61-node grid before it allocates anything.
+    argv = ["study", "--method", "FG", "--dim", "1", "--n-min", "60", "--n-max", "60",
+            "--budget", "100000000000000000000"]
+    assert run_main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "error: while solving level (61,) for plan fg(n=60): " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "message,reported",
+    [("Unable to allocate 14.6 TiB", "Unable to allocate 14.6 TiB"), ("", "MemoryError")],
+)
+def test_grid_solve_out_of_memory_exits_3_naming_level(
+    message, reported, monkeypatch, capsys
+):
+    # Injected below evaluate_plan, which wraps it in PlanEvaluationError;
+    # nothing is allocated for real.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("sparsecombine.combine._solve_at_table", out_of_memory)
+    argv = ["study", "--method", "SG", "--dim", "2", "--n-min", "3", "--n-max", "4"]
+    assert run_main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    level = "level (1, 4) for plan standard(d=2,n=3)+shift1"
+    assert f"error: while solving {level}: {reported}\n" in err
+    assert "Traceback" not in err
+
+
+def test_grid_solve_other_failure_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("sparsecombine.combine._solve_at_table", broken)
+    argv = ["study", "--method", "SG", "--dim", "2", "--n-min", "3", "--n-max", "4"]
+    with pytest.raises(PlanEvaluationError) as exc:
+        run_main(argv)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
 
 def test_cmd_solve_stream():

@@ -119,43 +119,6 @@ def test_from_callable_vectorized_agrees():
     np.testing.assert_array_equal(g1.values, g2.values)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
-    st.integers(min_value=0, max_value=2 ** 31 - 1),
-)
-def test_serialization_roundtrip(levels, seed):
-    lv = LevelIndex(levels)
-    rng = np.random.default_rng(seed)
-    g = GridFunction(lv, rng.standard_normal(lv.node_count()))
-    back = GridFunction.from_bytes(g.to_bytes())
-    assert back.level == g.level
-    np.testing.assert_array_equal(back.values, g.values)
-
-
-def test_serialization_file_roundtrip(tmp_path):
-    g = GridFunction.from_callable((2, 3), lambda x: x[0] * x[1])
-    path = tmp_path / "grid.bin"
-    path.write_bytes(g.to_bytes())
-    back = GridFunction.from_bytes(path.read_bytes())
-    np.testing.assert_array_equal(back.values, g.values)
-    assert back.level == g.level
-
-
-def test_serialization_header_layout():
-    g = GridFunction.zeros((1, 2))
-    buf = g.to_bytes()
-    assert buf[:4] == (2).to_bytes(4, "little")
-    assert buf[4:8] == (1).to_bytes(4, "little")
-    assert buf[8:12] == (2).to_bytes(4, "little")
-    assert len(buf) == 12 + 8 * 15
-
-
-def test_serialization_truncation_detected():
-    g = GridFunction.zeros((2,))
-    with pytest.raises(ValueError):
-        GridFunction.from_bytes(g.to_bytes()[:-1])
-
-
 # ---------------------------------------------------------------------------
 # multilinear_eval
 

@@ -222,19 +222,6 @@ def test_matches_assembled_oracle(level):
     np.testing.assert_allclose(u.ndview(), ref, rtol=0, atol=1e-12)
 
 
-def test_cg_matches_fast():
-    p = builtin_sine_problem(2)
-    u_fast, _ = solve_poisson(p, (4, 3), method="fast")
-    u_cg, _ = solve_poisson(p, (4, 3), method="cg")
-    np.testing.assert_allclose(u_cg.values, u_fast.values, atol=1e-9)
-
-
-def test_unknown_method_rejected():
-    p = builtin_sine_problem(1)
-    with pytest.raises(ValueError):
-        solve_poisson(p, (3,), method="magic")
-
-
 @pytest.mark.parametrize("d,n_range", [(1, range(4, 10)), (2, range(4, 9))])
 def test_second_order_convergence(d, n_range):
     p = builtin_sine_problem(d)
