@@ -161,28 +161,29 @@ def cmd_study(cfg: StudyConfig, stderr: Optional[TextIO] = None) -> int:
     problem = builtin_sine_problem(cfg.dim)
     metadata = _study_metadata(cfg, problem.name)
 
+    # The output is opened (and truncated) before the first solve, as a shell
+    # redirect would, so a path that cannot be written fails at once.
+    stream, owned = _open_out(cfg.out)
     code = EXIT_OK
     try:
-        records = hierarchical_surplus_study(
-            problem,
-            cfg.method,
-            cfg.dim,
-            cfg.n_max,
-            cfg.resolved_point(),
-            n_min=cfg.n_min,
-            level_shift=cfg.level_shift,
-            node_budget=cfg.node_budget,
-            surplus_points=cfg.surplus_points,
-            seed=cfg.seed,
-        )
-    except BudgetExceededError as exc:
-        records = exc.records
-        metadata["budget_exceeded"] = str(exc)
-        print(f"budget guard: {exc}", file=err)
-        code = EXIT_BUDGET
-
-    stream, owned = _open_out(cfg.out)
-    try:
+        try:
+            records = hierarchical_surplus_study(
+                problem,
+                cfg.method,
+                cfg.dim,
+                cfg.n_max,
+                cfg.resolved_point(),
+                n_min=cfg.n_min,
+                level_shift=cfg.level_shift,
+                node_budget=cfg.node_budget,
+                surplus_points=cfg.surplus_points,
+                seed=cfg.seed,
+            )
+        except BudgetExceededError as exc:
+            records = exc.records
+            metadata["budget_exceeded"] = str(exc)
+            print(f"budget guard: {exc}", file=err)
+            code = EXIT_BUDGET
         if cfg.fmt == "json":
             write_records_json(records, stream, metadata)
         else:

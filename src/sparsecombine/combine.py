@@ -29,7 +29,6 @@ import json
 import math
 import operator
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -124,7 +123,8 @@ class CombinationPlan:
     ``_Band``) and build ``terms`` only on first read; ``len``,
     ``term_count``, ``repr``, ``coefficient_sum``, ``shifted``,
     ``per_level_mass``, ``write_plan_json`` and ``evaluate_plan``'s node
-    total work from the table.
+    total work from the table. Term counts and level masses of either form
+    come from one walk, ``_groups``.
     """
 
     __slots__ = ("dim", "label", "_terms", "_band")
@@ -157,21 +157,12 @@ class CombinationPlan:
         object.__setattr__(self, "_band", None)
 
     @classmethod
-    def _from_sorted(
-        cls,
-        dim: int,
-        terms: Optional[dict[LevelIndex, Fraction]],
-        label: str,
-        band: Optional["_Band"] = None,
-    ) -> "CombinationPlan":
-        # For builder output only: ``terms`` already maps valid LevelIndex
-        # keys of dimension ``dim``, in sorted order, to nonzero Fractions,
-        # and the plan takes it over without the per-term checks. A band
-        # plan passes None and its class table instead.
+    def _from_band(cls, dim: int, label: str, band: "_Band") -> "CombinationPlan":
+        # A band plan keeps its class table and builds its terms on first read.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_terms", None if terms is None else MappingProxyType(terms))
+        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_band", band)
         return self
 
@@ -190,9 +181,17 @@ class CombinationPlan:
 
     def term_count(self) -> int:
         """The number of terms, also beyond ``len``'s limit of sys.maxsize."""
-        if self._band is not None:
-            return sum(count for _, _, count, _ in self._band.classes())
-        return len(self._terms)
+        return sum(count for _, count, _ in self._groups())
+
+    def _groups(self) -> Iterator[tuple[int, int, Fraction]]:
+        # (|l|_1, level count, coefficient) of every group of levels that
+        # share a diagonal and a coefficient: a band plan's classes in
+        # increasing |l|_1 (offset included), any other plan's terms one by one.
+        band = self._band
+        if band is None:
+            return ((sum(lv), 1, c) for lv, c in self._terms.items())
+        shift = band.d * band.offset
+        return ((t + shift, count, c) for t, _, count, c in band.classes())
 
     def __iter__(self) -> Iterator[LevelIndex]:
         return iter(self.terms)
@@ -209,24 +208,18 @@ class CombinationPlan:
 
     def shifted(self, offset: int) -> "CombinationPlan":
         """The same plan with every level shifted by a constant offset."""
-        # A constant offset keeps the sorted order. A band plan records it
-        # while its total offset stays nonnegative. Otherwise a nonnegative
-        # offset keeps every level valid, so its keys skip LevelIndex's
-        # validation; a negative one is checked, a negative level raises.
+        # A band plan records the offset while its total offset stays
+        # nonnegative. Any other plan is rebuilt by the public constructor,
+        # so a negative level raises.
         offset = operator.index(offset)
         label = f"{self.label}+shift{offset}" if self.label else f"shift{offset}"
         band = self._band
         if band is not None and band.offset + offset >= 0:
             band = band._replace(offset=band.offset + offset)
-            return CombinationPlan._from_sorted(self.dim, None, label, band)
-        if offset >= 0:
-            new = tuple.__new__
-            shifted_terms = {
-                new(LevelIndex, [v + offset for v in lv]): c for lv, c in self.terms.items()
-            }
-        else:
-            shifted_terms = {lv.shifted(offset): c for lv, c in self.terms.items()}
-        return CombinationPlan._from_sorted(self.dim, shifted_terms, label)
+            return CombinationPlan._from_band(self.dim, label, band)
+        return CombinationPlan(
+            self.dim, {lv.shifted(offset): c for lv, c in self.terms.items()}, label
+        )
 
     def __repr__(self) -> str:
         return f"CombinationPlan(dim={self.dim}, terms={self.term_count()}, label={self.label!r})"
@@ -259,14 +252,6 @@ class _Band(NamedTuple):
                 count = comb(d, p) * comb(t - 1, p - 1) if t and p else int(t == p)
                 if count and coeff:
                     yield t, p, count, coeff
-
-    def masses(self) -> dict[int, Fraction]:
-        """Coefficient mass per diagonal |l|_1, as ``per_level_mass``."""
-        shift = self.d * self.offset
-        masses: dict[int, Fraction] = {}
-        for t, _, count, coeff in self.classes():
-            masses[t + shift] = masses.get(t + shift, 0) + count * coeff
-        return masses
 
     def prefixes(self, start, pieces: list) -> list[tuple]:
         """The first d-1 levels of every level in the band in lexicographic
@@ -349,7 +334,7 @@ def _band(d: int, n: int, alpha: Sequence, label: str) -> CombinationPlan:
         return sum(terms, Fraction(0))
 
     table = [[c(t, p) for p in range(d + 1)] for t in range(top + 1)]
-    return CombinationPlan._from_sorted(d, None, label, _Band(d, n, table, 0))
+    return CombinationPlan._from_band(d, label, _Band(d, n, table, 0))
 
 
 def standard_plan(d: int, n: int) -> CombinationPlan:
@@ -411,27 +396,6 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     return _band(d, n, extrapolation_weights(d), f"ho(d={d},n={n})")
 
 
-def _diagonals(
-    plan: CombinationPlan,
-) -> tuple[dict[int, list[tuple[LevelIndex, Fraction]]], dict[int, Fraction]]:
-    # One pass over the terms: each (level, coefficient) item goes to the
-    # bucket of its diagonal |l|_1, in the stored level order, and the
-    # integer numerators add up per diagonal and denominator. Returns the
-    # buckets and the masses, both in increasing |l|_1.
-    buckets: defaultdict[int, list] = defaultdict(list)
-    numerators: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for item in plan.terms.items():
-        t = sum(item[0])
-        buckets[t].append(item)
-        num, den = item[1].as_integer_ratio()
-        numerators[t][den] += num
-    masses = {
-        t: sum((Fraction(num, den) for den, num in numerators[t].items()), Fraction(0))
-        for t in sorted(numerators)
-    }
-    return {t: buckets[t] for t in masses}, masses
-
-
 def _export_fields(plan: CombinationPlan, n: Optional[int], masses: dict[int, Fraction]) -> dict:
     # The export's fields in their order, with its terms left empty.
     return {
@@ -447,26 +411,25 @@ def _export_fields(plan: CombinationPlan, n: Optional[int], masses: dict[int, Fr
 def per_level_mass(plan: CombinationPlan) -> dict[int, Fraction]:
     """Total coefficient mass per diagonal |l|_1, in increasing |l|_1.
 
-    A band plan sums level count times coefficient over its classes. Any
-    other plan sums exactly over integer numerators: each diagonal adds the
-    numerators of its coefficients per distinct denominator, and only those
-    few partial sums become Fractions. A diagonal that cancels keeps its
-    entry, with mass 0.
+    Sums level count times coefficient over the plan's groups of equal
+    terms: a band plan's classes, or any other plan's terms. A diagonal that
+    cancels keeps its entry, with mass 0.
     """
-    if plan._band is not None:
-        return plan._band.masses()
-    return _diagonals(plan)[1]
+    masses: dict[int, Fraction] = {}
+    for t, count, coeff in plan._groups():
+        masses[t] = masses.get(t, 0) + count * coeff
+    return dict(sorted(masses.items()))
 
 
 def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:
     """JSON-ready dump: terms ordered by (|l|_1, l), with exact "p/q"
     coefficient strings. :func:`write_plan_json` writes its JSON text."""
-    buckets, masses = _diagonals(plan)
-    payload = _export_fields(plan, n, masses)
+    payload = _export_fields(plan, n, per_level_mass(plan))
+    # The terms are stored in level order, so a stable sort by |l|_1 gives
+    # the order (|l|_1, l).
     payload["terms"] = [
         {"levels": list(lv), "coeff": _frac_str(coeff)}
-        for bucket in buckets.values()
-        for lv, coeff in bucket
+        for lv, coeff in sorted(plan.terms.items(), key=lambda item: sum(item[0]))
     ]
     return payload
 
@@ -492,7 +455,7 @@ def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None)
         json.dump(plan_to_dict(plan, n), out, indent=2)
         out.write("\n")
         return
-    masses = plan._band.masses()
+    masses = per_level_mass(plan)
     texts = plan._band.export_texts()
     fields = _export_fields(plan, n, masses)
     head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')

@@ -10,7 +10,7 @@ Direction indices are 0-based throughout the package.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._lazy import np
 
@@ -128,37 +128,6 @@ class GridFunction:
     def ndview(self) -> np.ndarray:
         """Read-only view shaped (2**l_0 + 1, ..., 2**l_{d-1} + 1)."""
         return self.values.reshape(self.shape)
-
-    @classmethod
-    def zeros(cls, level: Iterable[int]) -> "GridFunction":
-        lv = LevelIndex(level)
-        return cls._from_owned(lv, np.zeros(lv.node_count()))
-
-    @classmethod
-    def from_callable(
-        cls,
-        level: Iterable[int],
-        fn: Callable,
-        vectorized: bool = False,
-    ) -> "GridFunction":
-        """Sample ``fn`` at every node.
-
-        With ``vectorized=False``, ``fn`` maps a point (tuple of d floats) to a
-        scalar and is called once per node. With ``vectorized=True``, ``fn``
-        receives d broadcastable coordinate arrays and must return the full
-        nodal array in one call.
-        """
-        lv = LevelIndex(level)
-        axes = [np.linspace(0.0, 1.0, m) for m in lv.points_per_direction()]
-        if vectorized:
-            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-            out = np.asarray(fn(*mesh), dtype=np.float64)
-            out = np.broadcast_to(out, lv.points_per_direction()).copy()
-            return cls._from_owned(lv, out)
-        out = np.empty(lv.points_per_direction())
-        for idx in np.ndindex(*lv.points_per_direction()):
-            out[idx] = fn(tuple(axes[j][i] for j, i in enumerate(idx)))
-        return cls._from_owned(lv, out)
 
     def __repr__(self) -> str:
         return f"GridFunction(level={tuple(self.level)}, nodes={self.values.size})"

@@ -49,7 +49,6 @@ __all__ = [
     "solve_at_points",
     "apply_operator",
     "sine_transform",
-    "inverse_sine_transform",
 ]
 
 # Largest 1D size solved with the direct O(M^2) sine matrix; larger sizes use
@@ -286,12 +285,6 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
         moved = a.transpose(_axis_order(a.ndim, axis, last))
         return (moved @ _sine_matrix(m)).transpose(_axis_order(a.ndim, last, axis))
     return 0.5 * _scipy_fft().dst(a, type=1, axis=axis)
-
-
-def inverse_sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse of :func:`sine_transform` (the transform is 2/(m+1) times unitary)."""
-    m = a.shape[axis]
-    return (2.0 / (m + 1)) * sine_transform(a, axis)
 
 
 @lru_cache(maxsize=None)

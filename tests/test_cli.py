@@ -198,6 +198,23 @@ def test_study_bad_env_budget(monkeypatch, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_study_unwritable_out_exits_3_before_solving(tmp_path, monkeypatch, capsys):
+    # The output is opened before the first solve, so a path in a missing
+    # directory fails at once instead of after the whole study.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no grid may be solved for an unwritable output")
+
+    monkeypatch.setattr("sparsecombine.combine._solve_at_table", no_solve)
+    out = tmp_path / "missing" / "x.csv"
+    code = run_main(["study", "--method", "HOSG", "--dim", "3", "--n-min", "2",
+                     "--n-max", "10", "--out", str(out)])
+    assert code == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert "No such file or directory" in captured.err
+    assert "budget guard" not in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_study_point_flag(tmp_path):
     out = tmp_path / "pt.csv"
     code = run_main(

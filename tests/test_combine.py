@@ -81,8 +81,8 @@ def test_plan_shifted_below_level_zero_raises():
 
 
 def test_plan_shifted_keeps_python_int_levels():
-    # The unchecked path for a nonnegative offset still yields plain int
-    # levels: an integer-like offset is taken as an int, a float is refused.
+    # Shifting yields plain int levels: an integer-like offset is taken as
+    # an int, a float is refused.
     plan = standard_plan(2, 2)
     for offset in (1, np.int64(1), True):
         shifted = plan.shifted(offset)
@@ -259,9 +259,10 @@ def assert_same_terms(got, want):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_builder_plans_equal_public_constructor(d):
-    # standard_plan, ho_plan and shifted hand their sorted, zero-free terms
-    # to the plan unchecked; the public constructor, given the unsorted band
-    # with its zeros, must store the same terms in the same order.
+    # standard_plan and ho_plan build their sorted, zero-free terms from the
+    # class table unchecked, before and after a shift; the public
+    # constructor, given the unsorted band with its zeros, must store the
+    # same terms in the same order.
     cases = [
         *((standard_plan, n, [1]) for n in range(8)),
         *((ho_plan, n, weights_by_elimination(d)) for n in range(1, 7)),
@@ -793,13 +794,14 @@ def test_combined_interpolation_of_exact_solution():
     p = builtin_sine_problem(2)
     x = (0.3, 0.7)
 
+    def exact_grid(lv):
+        axes = [np.linspace(0.0, 1.0, m) for m in lv.points_per_direction()]
+        return GridFunction(lv, p.exact(np.meshgrid(*axes, indexing="ij")))
+
     def combined(n):
         plan = standard_plan(2, n).shifted(1)
         total = math.fsum(
-            float(c) * multilinear_eval(
-                GridFunction.from_callable(lv, p.exact), x
-            )
-            for lv, c in plan.items()
+            float(c) * multilinear_eval(exact_grid(lv), x) for lv, c in plan.items()
         )
         return total
 
@@ -809,7 +811,7 @@ def test_combined_interpolation_of_exact_solution():
     node = (0.5, 0.5)  # a node of every level-shifted grid
     plan = standard_plan(2, 6).shifted(1)
     at_node = math.fsum(
-        float(c) * multilinear_eval(GridFunction.from_callable(lv, p.exact), node)
+        float(c) * multilinear_eval(exact_grid(lv), node)
         for lv, c in plan.items()
     )
     assert at_node == pytest.approx(p.exact(node), abs=1e-14)
@@ -1030,3 +1032,16 @@ def test_plan_to_dict_orders_terms_by_diagonal_then_level():
     ]
     assert d["coefficient_sum"] == "1/1"
     assert d["level_mass"] == {"1": "-2/1", "2": "3/1"}
+    # An explicit plan given out of diagonal order exports the same way, and
+    # a diagonal that cancels keeps its mass entry.
+    given = {(3, 0): 2, (0, 1): Fraction(1, 2), (2, 0): -1, (1, 1): 1, (0, 3): -2}
+    d = plan_to_dict(CombinationPlan(2, given, "explicit"))
+    assert [(t["levels"], t["coeff"]) for t in d["terms"]] == [
+        ([0, 1], "1/2"),
+        ([1, 1], "1/1"),
+        ([2, 0], "-1/1"),
+        ([0, 3], "-2/1"),
+        ([3, 0], "2/1"),
+    ]
+    assert d["coefficient_sum"] == "1/2"
+    assert d["level_mass"] == {"1": "1/2", "2": "0/1", "3": "0/1"}

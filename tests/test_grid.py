@@ -14,6 +14,13 @@ from sparsecombine.grid import (
 from oracles import interp_corners
 
 
+def sampled(level, fn) -> GridFunction:
+    # The grid function of fn's values at the nodes of ``level``; fn takes the
+    # d full coordinate arrays of np.meshgrid as one sequence x.
+    axes = [np.linspace(0.0, 1.0, m) for m in LevelIndex(level).points_per_direction()]
+    return GridFunction(level, fn(np.meshgrid(*axes, indexing="ij")))
+
+
 # ---------------------------------------------------------------------------
 # LevelIndex
 
@@ -78,7 +85,7 @@ def test_refine_halves_widths(levels, data):
 
 def test_enumerate_matches_values_order():
     # Values are flat in lexicographic (C) order of the node index tuple.
-    g = GridFunction.from_callable((2, 1), lambda x: 10 * x[0] + x[1])
+    g = sampled((2, 1), lambda x: 10 * x[0] + x[1])
     h = g.level.mesh_widths()
     indices = list(np.ndindex(*g.shape))
     assert len(indices) == g.values.size == 15
@@ -93,7 +100,7 @@ def test_enumerate_matches_values_order():
 
 
 def test_gridfunction_immutability():
-    g = GridFunction.zeros((2, 2))
+    g = GridFunction((2, 2), np.zeros(25))
     with pytest.raises((ValueError, RuntimeError)):
         g.values[0] = 1.0
     with pytest.raises(AttributeError):
@@ -106,17 +113,9 @@ def test_gridfunction_size_validation():
 
 
 def test_ndview_shape():
-    g = GridFunction.zeros((3, 1))
+    g = GridFunction((3, 1), np.zeros(27))
     assert g.ndview().shape == (9, 3)
     assert g.shape == (9, 3)
-
-
-def test_from_callable_vectorized_agrees():
-    fn = lambda x: math.sin(x[0]) + 2.0 * x[1]
-    vec = lambda a, b: np.sin(a) + 2.0 * b
-    g1 = GridFunction.from_callable((3, 2), fn)
-    g2 = GridFunction.from_callable((3, 2), vec, vectorized=True)
-    np.testing.assert_array_equal(g1.values, g2.values)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +136,12 @@ def test_linear_segment_midpoint():
 def test_bilinear_product_frozen():
     # x*y is bilinear on every cell, so interpolation reproduces it; at
     # (0.3, 0.7) the exact value is 0.21.
-    g = GridFunction.from_callable((1, 1), lambda x: x[0] * x[1])
+    g = sampled((1, 1), lambda x: x[0] * x[1])
     assert multilinear_eval(g, (0.3, 0.7)) == pytest.approx(0.21, abs=1e-15)
 
 
 def test_eval_exact_at_nodes():
-    g = GridFunction.from_callable((2, 3), lambda x: math.cos(x[0] + 2 * x[1]))
+    g = sampled((2, 3), lambda x: np.cos(x[0] + 2 * x[1]))
     h = g.level.mesh_widths()
     for idx in np.ndindex(*g.shape):
         pt = tuple(i * w for i, w in zip(idx, h))
@@ -150,7 +149,7 @@ def test_eval_exact_at_nodes():
 
 
 def test_eval_outside_cube_rejected():
-    g = GridFunction.zeros((1, 1))
+    g = GridFunction((1, 1), np.zeros(9))
     with pytest.raises(ValueError):
         multilinear_eval(g, (0.5, 1.2))
     with pytest.raises(ValueError):
@@ -158,7 +157,7 @@ def test_eval_outside_cube_rejected():
 
 
 def test_eval_dimension_mismatch():
-    g = GridFunction.zeros((1, 1))
+    g = GridFunction((1, 1), np.zeros(9))
     with pytest.raises(ValueError):
         multilinear_eval(g, (0.5,))
 
@@ -196,7 +195,7 @@ def test_batched_eval_matches_single_points(d, seed):
     ],
 )
 def test_bad_point_same_error_alone_or_in_array(bad, message):
-    g = GridFunction.zeros((1, 1))
+    g = GridFunction((1, 1), np.zeros(9))
     good = (0.25,) if len(bad) == 1 else (0.25, 0.5)
     for x in (bad, [good, bad, good]):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -204,7 +203,7 @@ def test_bad_point_same_error_alone_or_in_array(bad, message):
 
 
 def test_eval_rejects_empty_and_nested_point_arrays():
-    g = GridFunction.zeros((1, 1))
+    g = GridFunction((1, 1), np.zeros(9))
     with pytest.raises(ValueError, match="no evaluation point"):
         multilinear_eval(g, np.zeros((0, 2)))
     with pytest.raises(ValueError, match="one point or a"):
@@ -212,7 +211,7 @@ def test_eval_rejects_empty_and_nested_point_arrays():
 
 
 def test_boundary_points_use_last_cell():
-    g = GridFunction.from_callable((2,), lambda x: 3.0 * x[0] - 1.0)
+    g = sampled((2,), lambda x: 3.0 * x[0] - 1.0)
     assert multilinear_eval(g, (1.0,)) == pytest.approx(2.0, abs=1e-15)
     assert multilinear_eval(g, (0.0,)) == pytest.approx(-1.0, abs=1e-15)
 
@@ -235,7 +234,7 @@ def test_multilinear_functions_reproduced(d, seed):
             out *= coeffs[j, 0] + coeffs[j, 1] * xj
         return out
 
-    g = GridFunction.from_callable(levels, fn)
+    g = sampled(levels, fn)
     for _ in range(25):
         pt = tuple(rng.uniform(0.0, 1.0, size=d))
         expected = fn(pt)
@@ -267,9 +266,9 @@ def test_interpolation_error_second_order(d, n_range):
     rng = np.random.default_rng(20240817)
     pts = rng.uniform(0.0, 1.0, size=(1000, d))
 
-    def u_vec(*axes):
+    def u_vec(x):
         out = 1.0
-        for a in axes:
+        for a in x:
             out = out * np.sin(np.pi * a)
         return out
 
@@ -280,7 +279,7 @@ def test_interpolation_error_second_order(d, n_range):
         return out
 
     def max_err(n):
-        g = GridFunction.from_callable((n,) * d, u_vec, vectorized=True)
+        g = sampled((n,) * d, u_vec)
         return max(abs(multilinear_eval(g, tuple(p)) - u_pt(p)) for p in pts)
 
     for n in n_range:
