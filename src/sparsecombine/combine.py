@@ -6,9 +6,13 @@ the evaluation points, and accumulate coefficient-weighted values. A grid's
 values are read from its sine coefficients (as ``pde.solve_at_points``: one
 inverse transform along the grid's longest direction, then per-point weights
 in the others), so no nodal grid is formed and only K floats per grid
-outlive the solve. The grids of one evaluation share one point table, so the
-points' cells and weights are built once per (direction, level) pair, as are
-the 1-D transforms of a separable right-hand side's factors.
+outlive the solve. The grids evaluated through one ``GridCache`` (all
+records of a study) share one point table, so the points' cells and weights
+are built once per (direction, level) pair, as are the 1-D transforms of a
+separable right-hand side's factors; and every grid writes its coefficients
+and its transform along the longest direction into the same two work
+buffers, sized to the largest grid of each evaluation and grown only when a
+later one needs more (``pde._Workspace``).
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
 sorted level order so results are bit-identical regardless of caching or the
@@ -46,7 +50,7 @@ from ._lazy import np
 # the benchmark change that re-points the hooks to _solve_at_table (open as a
 # FOUND line in CHANGES.md).
 from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
-from .pde import ProblemSpec, _PointTable, _solve_at_table, solve_poisson  # noqa: F401
+from .pde import ProblemSpec, _PointTable, _solve_at_table, _Workspace, solve_poisson  # noqa: F401
 
 __all__ = [
     "CombinationPlan",
@@ -322,18 +326,27 @@ class _Band(NamedTuple):
             yield from (text + end for text, k in walk if k < limit and (end := ends[k]))
 
 
-def _band(d: int, n: int, alpha: Sequence, label: str) -> CombinationPlan:
-    # The plan of every level l with n <= |l|_1 <= n+d+len(alpha)-2 and
-    # coefficient c(|l|_1, #nonzero levels) (see ho_plan), kept as its
-    # table; a maps each diagonal to its standard-plan coefficient.
-    top = n + d + len(alpha) - 2
-    a = {n + i: (-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)}
-
-    def c(t: int, p: int) -> Fraction:
-        terms = (comb(p, k) * a.get(t - k, 0) * w for k, w in enumerate(alpha[: p + 1]))
-        return sum(terms, Fraction(0))
-
-    table = [[c(t, p) for p in range(d + 1)] for t in range(top + 1)]
+def _band(d: int, n: int, step: Sequence[int], denominator: int, label: str) -> CombinationPlan:
+    # The plan of every level l with n <= |l|_1 <= top and coefficient
+    # c(|l|_1, #nonzero levels), kept as its table: c(t, p) is the
+    # coefficient of x**(t-n) in step(x)**p (x - 1)**(d-1) / denominator,
+    # ``step`` listing the coefficients of x**0, x**1, .... That is ho_plan's
+    # c(t, p) = sum_k C(p, k) a_{t-k-n} alpha_k, since x**n (x - 1)**(d-1)
+    # has the standard coefficients a and sum_k C(p, k) alpha_k x**k is
+    # (1 + beta x)**p / denominator for alpha_k = beta**k / denominator (and
+    # 1 for alpha = (1,)). One integer polynomial product per p and one
+    # Fraction per cell.
+    top = n + d - 1 + d * (len(step) - 1)
+    zero = Fraction(0)
+    table = [[zero] * (d + 1) for _ in range(top + 1)]
+    poly = [(-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)]
+    for p in range(d + 1):
+        for i, coeff in enumerate(poly):
+            table[n + i][p] = Fraction(coeff, denominator)
+        poly = [
+            sum(s * poly[i - k] for k, s in enumerate(step) if 0 <= i - k < len(poly))
+            for i in range(len(poly) + len(step) - 1)
+        ]
     return CombinationPlan._from_band(d, label, _Band(d, n, table, 0))
 
 
@@ -347,7 +360,7 @@ def standard_plan(d: int, n: int) -> CombinationPlan:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _band(d, n, (1,), f"standard(d={d},n={n})")
+    return _band(d, n, (1,), 1, f"standard(d={d},n={n})")
 
 
 def extrapolation_weights(d: int) -> tuple[Fraction, ...]:
@@ -393,7 +406,8 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     """
     if n < 1:
         raise ValueError("higher-order plan needs n >= 1")
-    return _band(d, n, extrapolation_weights(d), f"ho(d={d},n={n})")
+    # extrapolation_weights(d): alpha_k = (-4)**k / (-3)**d.
+    return _band(d, n, (1, -4), (-3) ** d, f"ho(d={d},n={n})")
 
 
 def _export_fields(plan: CombinationPlan, n: Optional[int], masses: dict[int, Fraction]) -> dict:
@@ -504,11 +518,30 @@ class GridCache:
     A key is (level, point set) and its entry is the tuple of the K values
     the grid's interpolant takes at those points; the cache never holds a
     grid. A level looked up with another point set is a different key. A
-    solve that raises stores nothing.
+    solve that raises stores nothing. A cache serves one problem: its keys
+    do not name the problem.
+
+    Besides the values, the cache keeps what the grids evaluated through it
+    share: one workspace for all point sets (the factor transforms and two
+    work buffers the size of the largest grid solved, ``pde._Workspace``) and
+    the point table of the point set it last evaluated, so what it keeps is
+    bounded by the largest grid however many point sets it has seen.
+    Evaluations through one cache write into the same buffers, so they must
+    not run concurrently.
     """
 
     def __init__(self) -> None:
         self._entries: dict[CacheKey, tuple[float, ...]] = {}
+        self._work = _Workspace()
+        self._points: Optional[bytes] = None
+        self._table: Optional[_PointTable] = None
+
+    def _context(self, pts: np.ndarray, points_key: bytes) -> tuple[_PointTable, _Workspace]:
+        # The point table of ``pts`` (whose bytes are ``points_key``) and the
+        # workspace, for the grids evaluated at ``pts``.
+        if points_key != self._points:
+            self._table, self._points = _PointTable(pts), points_key
+        return self._table, self._work
 
     def get_or_solve(
         self, key: CacheKey, solver: Callable[[CacheKey], tuple[float, ...]]
@@ -565,7 +598,9 @@ def evaluate_plan(
     Each grid's values at the points are computed from its sine coefficients
     as by ``solve_at_points`` (or fetched from ``cache``), all grids reading
     one table of the points' cells and weights and, for separable data, one
-    cache of the factors' 1-D transforms; no nodal grid is formed.
+    cache of the factors' 1-D transforms, and all writing their grid-sized
+    stages into the same two buffers, all kept by ``cache`` for its later
+    evaluations; no nodal grid is formed.
     Grids with a zero level in some direction have no interior unknown under
     homogeneous Dirichlet data; their value is exactly 0.0, so they are
     neither solved nor summed. The other levels are solved one after another
@@ -591,11 +626,13 @@ def evaluate_plan(
     if cache is None:
         cache = GridCache()
     points_key = pts.tobytes()
-    table = _PointTable(pts)
-    factors: dict = {}
+    table, work = cache._context(pts, points_key)
+    # The work buffers are grown once per evaluation, to its largest grid.
+    largest = max(map(LevelIndex.interior_count, plan.terms), default=0)
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
-        return tuple(_solve_at_table(p, key[0], table, factors).tolist())
+        work.reserve(largest)
+        return tuple(_solve_at_table(p, key[0], table, work).tolist())
 
     entries: dict[LevelIndex, tuple[float, ...]] = {}
     newly_solved: list[LevelIndex] = []

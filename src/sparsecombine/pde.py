@@ -26,6 +26,20 @@ Those 1-D transforms are computed in ``np.longdouble`` and rounded once to
 float64, and grids evaluated together share them per (direction, level).
 Where ``np.longdouble`` is float64 (Windows, macOS on arm64) they have
 float64 accuracy.
+
+Grids evaluated one after another share a workspace (``_Workspace``): the
+factor transforms and two float64 buffers as large as the largest grid. The
+numerator (the factors' outer product times c) and the eigenvalue denominator
+are each formed in one of them by one broadcast of the fold over the first
+d-1 directions with the last, in the fold's association order, and the
+division runs in place. On the FFT path the inverse transform along the
+longest direction is then an unscaled DST-I in place; its factor 1/2 is
+folded into the denominator's power of two 2**(|l|_1 - d + 1), which scales
+every rounding exactly. So the values keep the bits of a solve that allocates
+every stage afresh, while for separable data the coefficient and transform
+stages allocate no array as large as the grid: a fold over d-1 directions is
+at most a third of it (a last direction with one node is applied in place).
+The sampled path still allocates its forward transforms.
 """
 
 from __future__ import annotations
@@ -168,6 +182,23 @@ def _outer(op, vectors: list[np.ndarray]) -> np.ndarray:
     return out if d > 1 else out.copy()
 
 
+def _outer_into(op, vectors: list[np.ndarray], out: np.ndarray) -> None:
+    """Write :func:`_outer` of ``vectors`` into the C-contiguous ``out``: the
+    fold of all but the last vector, then one broadcast with the last. The
+    association order is the fold's, so every entry has the same bits. Only
+    that fold over the first d-1 directions is allocated, and not even that
+    when the last vector has one entry: the fold is then written into ``out``
+    and the last entry applied in place."""
+    *head, last = vectors
+    if not head:
+        np.copyto(out, last)
+    elif len(last) == 1:
+        _outer_into(op, head, out.reshape(out.shape[:-1]))
+        op(out, last, out=out)
+    else:
+        op((_outer(op, head) if len(head) > 1 else head[0])[..., None], last, out=out)
+
+
 # pi as the sum of two doubles: the float64 pi and its rounding error.
 _PI = (math.pi, 1.2246467991473532e-16)
 
@@ -279,12 +310,22 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     out[..., k, ...] = sum_j a[..., j, ...] * sin((j+1)(k+1) pi / (m+1)).
     Small sizes use the direct matrix, larger ones the FFT-based transform.
     """
-    m = a.shape[axis]
-    if m <= DIRECT_TRANSFORM_MAX:
-        last = a.ndim - 1
-        moved = a.transpose(_axis_order(a.ndim, axis, last))
-        return (moved @ _sine_matrix(m)).transpose(_axis_order(a.ndim, last, axis))
+    if a.shape[axis] <= DIRECT_TRANSFORM_MAX:
+        return _direct_transform(a, axis)
     return 0.5 * _scipy_fft().dst(a, type=1, axis=axis)
+
+
+def _direct_transform(a: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # sine_transform's direct path: one matmul with the sine matrix on the
+    # axis moved last. ``out`` (optional) is a C-contiguous buffer of a's size
+    # that receives the product, laid out as a new product array would be,
+    # so the bits are the same.
+    last = a.ndim - 1
+    moved = a.transpose(_axis_order(a.ndim, axis, last))
+    if out is not None:
+        out = out.reshape(moved.shape)
+    product = np.matmul(moved, _sine_matrix(a.shape[axis]), out=out)
+    return product.transpose(_axis_order(a.ndim, last, axis))
 
 
 @lru_cache(maxsize=None)
@@ -323,42 +364,73 @@ def _factor_coefficients(
     return out
 
 
+class _Workspace:
+    """What the grids solved for one problem share, whatever their points:
+    the 1-D factor transforms of separable data (``factors``, per (direction,
+    level value), see :func:`_factor_coefficients`) and two float64 work
+    buffers that receive every grid-sized stage of a solve.
+
+    The buffers grow to exactly the size reserved, and only when a larger
+    grid comes, so they hold at most two copies of the largest grid. What
+    :meth:`buffers` returns is overwritten by the next grid.
+    """
+
+    def __init__(self) -> None:
+        self.factors: dict[tuple[int, int], np.ndarray] = {}
+        self._pair: tuple = ()
+        self._size = 0
+
+    def reserve(self, size: int) -> None:
+        if size > self._size:
+            self._pair = ()  # the old pair is freed before the new one exists
+            self._pair = (np.empty(size), np.empty(size))
+            self._size = size
+
+    def buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Two C-contiguous arrays of ``shape`` that share no memory."""
+        size = math.prod(shape)
+        self.reserve(size)
+        return tuple(buf[:size].reshape(shape) for buf in self._pair)
+
+
 def _sine_coefficients(
     p: ProblemSpec,
     level: LevelIndex,
-    factors: dict,
+    work: _Workspace,
     f_int: Optional[np.ndarray] = None,
+    halve: bool = False,
 ) -> np.ndarray:
-    """Sine coefficients of the discrete solution of ``p`` on ``level``.
+    """Sine coefficients of the discrete solution of ``p`` on ``level``,
+    written into the first of ``work``'s buffers and returned as a view of it.
 
     Applying :func:`sine_transform` along every direction to the result gives
-    the interior nodal values. For separable data the right-hand side's
-    coefficients are c times the outer product of its factors' transforms
-    (:func:`_factor_coefficients`, cached in ``factors``). Otherwise they are
-    the forward transforms of the interior data ``f_int``, sampled here when
-    not given and never modified; a direction at level 1 has one interior
-    node and a 1x1 sine matrix equal to the identity, so it is not
-    transformed. Either way they are divided by the summed eigenvalues.
+    the interior nodal values; with ``halve`` the coefficients are half as
+    large, for a caller that applies one unscaled DST-I instead. For separable
+    data the right-hand side's coefficients are c times the outer product of
+    its factors' transforms (:func:`_factor_coefficients`, cached in
+    ``work.factors``), formed in the buffer. Otherwise they are the forward
+    transforms of the interior data ``f_int``, sampled here when not given and
+    never modified; a direction at level 1 has one interior node and a 1x1
+    sine matrix equal to the identity, so it is not transformed. Either way
+    they are divided by the summed eigenvalues, formed in the second buffer.
     """
+    coeffs, denom = work.buffers(tuple(2 ** v - 1 for v in level))
     if p.rhs_factors is not None:
-        work = _outer(
-            np.multiply,
-            [_factor_coefficients(p, j, level, factors) for j in range(level.dim)],
-        )
-        work *= p.rhs_factors[0]
+        factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
+        _outer_into(np.multiply, factors, coeffs)
+        coeffs *= p.rhs_factors[0]
+        numer = coeffs
     else:
-        work = f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
+        numer = _sample_interior_rhs(p, level) if f_int is None else f_int
         for axis, v in enumerate(level):
             if v > 1:
-                work = sine_transform(work, axis)
-    # The inverse transforms' factors 2/(m+1) = 2**(1-l) multiply into one
-    # power of two on the denominator, which scales every rounding exactly.
-    scale = 2.0 ** (sum(level) - level.dim)
-    denom = _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
-    if work is f_int:
-        return work / denom
-    np.divide(work, denom, out=work)
-    return work
+                numer = sine_transform(numer, axis)
+    # The inverse transforms' factors 2/(m+1) = 2**(1-l), and the 1/2 of
+    # ``halve``, multiply into one power of two on the denominator, which
+    # scales every rounding exactly (barring underflow to subnormals).
+    scale = 2.0 ** (sum(level) - level.dim + halve)
+    _outer_into(np.add, [scale * _eigenvalues_1d(v) for v in level], denom)
+    return np.divide(numer, denom, out=coeffs)
 
 
 def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -425,29 +497,26 @@ class _PointTable:
         return self._weights[key]
 
 
-def _interpolate_coefficients(
-    coeffs: np.ndarray, level: LevelIndex, table: _PointTable
+def _interpolate_nodal(
+    nodal: np.ndarray, level: LevelIndex, a: int, table: _PointTable
 ) -> np.ndarray:
-    """Values of the multilinear interpolant of the grid with sine coefficients
-    ``coeffs`` at the points of ``table``.
+    """Values at the points of ``table`` of the multilinear interpolant of
+    the grid whose sine coefficients, transformed along its longest direction
+    ``a``, are ``nodal``.
 
-    The longest direction is turned into nodal values by one sine transform,
-    shared by all points, and each point blends the two node rows around it.
-    In every other direction a point's sine weight vector is contracted by
-    one stacked product over the points. Each point runs the same
-    fixed-shape operations, so its value does not depend on the other
-    points. Points are taken in chunks whose work arrays are no larger than
-    the grid (or ``_CHUNK_ENTRIES``), whatever their number; the table's
-    per-point arrays are sliced per chunk, and weight vectors it does not
-    keep are built per chunk.
+    The nodal values along direction a are shared by all points, and each
+    point blends the two node rows around it. In every other direction a
+    point's sine weight vector is contracted by one stacked product over the
+    points. Each point runs the same fixed-shape operations, so its value
+    does not depend on the other points. Points are taken in chunks whose
+    work arrays are no larger than the grid (or ``_CHUNK_ENTRIES``), whatever
+    their number; the table's per-point arrays are sliced per chunk, and
+    weight vectors it does not keep are built per chunk.
     """
-    a = level.index(max(level))
     m = 2 ** level[a] - 1
     # Values at the interior nodes 1 .. m of the longest direction (moved to
     # the front), over the sine coefficients of the others.
-    nodal = (sine_transform(coeffs, a) if m > 1 else coeffs).transpose(
-        _axis_order(level.dim, a, 0)
-    )
+    nodal = nodal.transpose(_axis_order(level.dim, a, 0))
     lower, lower_w, upper, upper_w = table.blend(a, level[a])
     others = [
         (j, level[j], table.weights(j, level[j]))
@@ -541,7 +610,7 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
     level = _solvable_level(p, l)
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    interior = _sine_coefficients(p, level, {}, f_int)
+    interior = _sine_coefficients(p, level, _Workspace(), f_int)
     for axis, v in enumerate(level):
         if v > 1:
             interior = sine_transform(interior, axis)
@@ -581,14 +650,28 @@ def _solve_at_table(
     p: ProblemSpec,
     level: LevelIndex,
     table: _PointTable,
-    factors: Optional[dict] = None,
+    work: Optional[_Workspace] = None,
 ) -> np.ndarray:
     """:func:`solve_at_points` for a solvable ``level`` of ``p`` at the points
     of ``table``, which the grids evaluated at those points share, as they
-    share the factor transforms ``factors`` of separable data (a fresh cache
-    when None)."""
-    coeffs = _sine_coefficients(p, level, {} if factors is None else factors)
-    return _interpolate_coefficients(coeffs, level, table)
+    share the factor transforms and work buffers of ``work`` (a fresh
+    workspace when None). On the FFT path the inverse transform along the
+    longest direction runs in place, its factor 1/2 folded into the
+    coefficients (see the module docstring); the direct path writes its
+    product into the second buffer.
+    """
+    work = _Workspace() if work is None else work
+    a = level.index(max(level))
+    m = 2 ** level[a] - 1
+    fft = m > DIRECT_TRANSFORM_MAX
+    coeffs = _sine_coefficients(p, level, work, halve=fft)
+    if fft:
+        nodal = _scipy_fft().dst(coeffs, type=1, axis=a, overwrite_x=True)
+    elif m > 1:
+        nodal = _direct_transform(coeffs, a, out=work.buffers(coeffs.shape)[1])
+    else:
+        nodal = coeffs
+    return _interpolate_nodal(nodal, level, a, table)
 
 
 def apply_operator(g: GridFunction) -> GridFunction:

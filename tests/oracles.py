@@ -223,6 +223,25 @@ def weights_by_elimination(d: int) -> list[Fraction]:
     return rhs
 
 
+def class_table_by_sums(d: int, n: int, alpha) -> list[list[Fraction]]:
+    """The class table c(t, p) = sum_k C(p, k) a_{t-k-n} alpha_k for
+    t <= n + d + len(alpha) - 2 and p <= d, one Fraction sum per cell, a_i
+    being the standard coefficient on diagonal n + i (zero outside
+    0 <= i < d)."""
+    a = standard_coeffs(d)
+    return [
+        [
+            sum(
+                (comb(p, k) * a[t - k - n] * w for k, w in enumerate(alpha[: p + 1])
+                 if 0 <= t - k - n < d),
+                Fraction(0),
+            )
+            for p in range(d + 1)
+        ]
+        for t in range(n + d + len(alpha) - 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Higher-order combination: accumulated coefficients and literal double sum
 

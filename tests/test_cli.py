@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -408,9 +409,14 @@ def reference_plan_json(plan, n):
 
 
 def cancelled_band():
-    # No ho_plan has a diagonal whose mass cancels, so this band takes made-up
-    # weights: on |l|_1 = 2, two levels of coefficient 1/4 and one of -1/2.
-    plan = _band(2, 1, (1, Fraction(3, 4)), "cancelled")
+    # No ho_plan has a diagonal whose mass cancels, so this band takes a
+    # made-up table, c(t, p) = (-2)**p [x^(t-1)] (x - 1) / 8 (the step
+    # polynomial -2, see combine._band): on |l|_1 = 2, two levels of
+    # coefficient -1/4 and one of 1/2.
+    plan = _band(2, 1, (-2,), 8, "cancelled")
+    assert plan.terms == {(0, 2): Fraction(-1, 4), (1, 1): Fraction(1, 2),
+                          (2, 0): Fraction(-1, 4), (0, 1): Fraction(1, 4),
+                          (1, 0): Fraction(1, 4)}
     assert per_level_mass(plan)[2] == 0
     return plan
 
@@ -635,6 +641,19 @@ def test_plan_over_budget_exits_2_without_writing(
     assert run_main(["plan", *argv]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.err == f"budget guard: {message}\n"
+    assert captured.out == ""
+
+
+def test_plan_ho_far_over_budget_exits_2_at_once(monkeypatch, capsys):
+    # The class table is built in closed form, so a higher-order plan at
+    # d = 200 is refused from its term count in well under a second (0.4 s
+    # measured); with per-cell Fraction sums it ran for more than 90 s.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    t0 = time.perf_counter()
+    assert run_main(["plan", "--kind", "ho", "--dim", "200", "--n", "1"]) == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 30.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("budget guard: plan ho(d=200,n=1) has ")
     assert captured.out == ""
 
 

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import gc
 import itertools
 import math
@@ -43,6 +45,7 @@ from sparsecombine.pde import (
 
 from oracles import (
     builtin_grid_value,
+    class_table_by_sums,
     compositions,
     ho_plan_by_accumulation,
     level_mass_by_fraction_sum,
@@ -274,6 +277,17 @@ def test_builder_plans_equal_public_constructor(d):
             shifted = plan.shifted(offset)
             backwards = dict(reversed(shifted.terms.items()))
             assert_same_terms(shifted, CombinationPlan(d, backwards, shifted.label))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_class_table_matches_accumulated_sums(d):
+    # The band plans' class tables, built in closed form as polynomial
+    # products, equal the per-cell Fraction sums.
+    for n in range(7):
+        assert standard_plan(d, n)._band.table == class_table_by_sums(d, n, [Fraction(1)])
+        if n:
+            want = class_table_by_sums(d, n, weights_by_elimination(d))
+            assert ho_plan(d, n)._band.table == want
 
 
 def test_ho_plan_rejects_n_zero():
@@ -522,7 +536,7 @@ def test_shared_point_table_bit_identical(levels, seed):
     rng = np.random.default_rng(seed)
     d = len(levels[0])
     p = _wavy_grid_problem(d, seed)
-    # Points per chunk of each grid (see pde._interpolate_coefficients); twice
+    # Points per chunk of each grid (see pde._interpolate_nodal); twice
     # the largest plus one gives every grid at least three chunks.
     steps = [
         max(math.prod(2 ** v - 1 for v in lv), 2 ** 14)
@@ -699,6 +713,51 @@ def test_reduction_bit_identical_across_cache_states():
     warm_k = evaluate_plan(p, plan, pts, batch_cache)
     assert list(cold.values) == list(warm_k.values) == singles
     assert cold.value == fresh
+
+
+def test_cache_warmed_by_larger_grids_serves_smaller_plan():
+    # A cache whose work buffers were sized by a plan of larger grids (FFT
+    # path) evaluates a plan of other, smaller grids with the bits of a
+    # fresh cache, and its buffers keep the largest grid's size.
+    base = builtin_sine_problem(3)
+    sampled = ProblemSpec(dim=3, rhs=base.rhs, rhs_grid=base.rhs_grid)
+    pts = [default_eval_point(3), (0.1, 0.93, 0.6)]
+    large = CombinationPlan(3, {(9, 1, 2): 1, (2, 8, 1): Fraction(-1, 3), (1, 1, 10): 2})
+    small = ho_plan(3, 2).shifted(1)
+    for p in (base, sampled):
+        cache = GridCache()
+        evaluate_plan(p, large, pts, cache)
+        warm = evaluate_plan(p, small, pts, cache)
+        assert warm.grids_solved == len(small)
+        assert warm.values == evaluate_plan(p, small, pts).values
+        assert cache._work._size == max(lv.interior_count() for lv in large.terms)
+
+
+def test_study_transforms_each_factor_once():
+    # The records of a study share one workspace, so a separable right-hand
+    # side's factor g_j is sampled (and transformed) once per (direction,
+    # level value), not once per record.
+    base = builtin_sine_problem(3)
+    c, g = base.rhs_factors
+    calls = collections.Counter()
+
+    def counted(j, v):
+        calls[j, v] += 1
+        return g(j, v)
+
+    p = dataclasses.replace(base, rhs_factors=(c, counted))
+    records = hierarchical_surplus_study(p, "HOSG", 3, 6, n_min=2)
+    want = {
+        (j, v)
+        for n in range(2, 7)
+        for lv in method_plan("HOSG", 3, n, 1).terms
+        if min(lv) > 0
+        for j, v in enumerate(lv)
+    }
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
+    plain = hierarchical_surplus_study(base, "HOSG", 3, 6, n_min=2)
+    assert [r.value for r in records] == [r.value for r in plain]
 
 
 def test_cache_does_not_serve_another_point_set():

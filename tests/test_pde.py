@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecombine.combine import default_eval_point, method_plan
-from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
+from sparsecombine.grid import GridFunction, LevelIndex, _checked_points, multilinear_eval
 from sparsecombine.pde import (
+    DIRECT_TRANSFORM_MAX,
     DegenerateGridError,
     ProblemSpec,
     _PointTable,
+    _Workspace,
+    _eigenvalues_1d,
+    _factor_coefficients,
+    _interpolate_nodal,
+    _outer,
+    _sample_interior_rhs,
     _solve_at_table,
     apply_operator,
     builtin_sine_problem,
@@ -477,14 +484,65 @@ def test_factor_cache_bit_identical(d):
     pts = rng.uniform(0.0, 1.0, size=(9, d))
     levels = [LevelIndex(rng.integers(1, 8 - d, size=d)) for _ in range(12)]
     for p in (builtin_sine_problem(d), _separable_problems(d, d)[0]):
-        table, warm = _PointTable(pts), {}
+        table, warm = _PointTable(pts), _Workspace()
         for level in levels:
             _solve_at_table(p, level, table, warm)
         for level in reversed(levels):
-            fresh = _solve_at_table(p, level, _PointTable(pts), {})
+            fresh = _solve_at_table(p, level, _PointTable(pts), _Workspace())
             assert _solve_at_table(p, level, table, warm).tobytes() == fresh.tobytes()
             assert solve_at_points(p, level, pts).tobytes() == fresh.tobytes()
-        assert len(warm) == len({(j, v) for level in levels for j, v in enumerate(level)})
+        want = {(j, v) for level in levels for j, v in enumerate(level)}
+        assert len(warm.factors) == len(want)
+
+
+def _fresh_array_point_values(p, level, pts):
+    # The point values with a new array at every stage: the outer products
+    # of _outer, the division into a new array and, along the longest
+    # direction, sine_transform (0.5 * DST-I on the FFT path).
+    level = LevelIndex(level)
+    if p.rhs_factors is not None:
+        factors = [_factor_coefficients(p, j, level, {}) for j in range(level.dim)]
+        numer = _outer(np.multiply, factors)
+        numer *= p.rhs_factors[0]
+    else:
+        numer = _sample_interior_rhs(p, level)
+        for axis, v in enumerate(level):
+            if v > 1:
+                numer = sine_transform(numer, axis)
+    scale = 2.0 ** (sum(level) - level.dim)
+    coeffs = numer / _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
+    a = level.index(max(level))
+    nodal = sine_transform(coeffs, a) if level[a] > 1 else coeffs
+    return _interpolate_nodal(nodal, level, a, _PointTable(_checked_points(pts, level.dim)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_workspace_reuse_bit_identical(d):
+    # Grids solved one after another into one workspace's two buffers, in
+    # ascending, descending and shuffled order, give the bits of a fresh
+    # solve_at_points and of the solve with a new array at every stage,
+    # although the workspace runs the FFT-path DST-I in place with its 1/2
+    # folded into the denominator. The longest directions take the FFT path
+    # (m >= 127) and the direct one, and the grid sizes go up and down; the
+    # buffers end at exactly the largest grid's size.
+    rng = np.random.default_rng(20 + d)
+    pts = rng.uniform(0.0, 1.0, size=(7, d))
+    levels = sorted({
+        LevelIndex(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
+        for top in (2, 6, 7, 8, 9, 7, 6)
+    } | {LevelIndex((1,) * d)})
+    assert any(2 ** max(lv) - 1 > DIRECT_TRANSFORM_MAX for lv in levels)
+    assert any(1 < 2 ** max(lv) - 1 <= DIRECT_TRANSFORM_MAX for lv in levels)
+    for p in (builtin_sine_problem(d), *_separable_problems(d, d)):
+        fresh = {lv: solve_at_points(p, lv, pts) for lv in levels}
+        for lv in levels:
+            assert _fresh_array_point_values(p, lv, pts).tobytes() == fresh[lv].tobytes()
+        shuffled = [levels[i] for i in rng.permutation(len(levels))]
+        for order in (levels, levels[::-1], shuffled):
+            table, work = _PointTable(pts), _Workspace()
+            for lv in order:
+                assert _solve_at_table(p, lv, table, work).tobytes() == fresh[lv].tobytes()
+            assert work._size == max(lv.interior_count() for lv in levels)
 
 
 def test_builtin_grid_values_match_decimal_closed_form():
