@@ -12,7 +12,10 @@ are built once per (direction, level) pair, as are the 1-D transforms of a
 separable right-hand side's factors; and every grid writes its coefficients
 and its transform along the longest direction into the same two work
 buffers, sized to the largest grid of each evaluation and grown only when a
-later one needs more (``pde._Workspace``).
+later one needs more (``pde._Workspace``). Each level is solved right after
+its partner, the level with its first two directions swapped, and reads the
+partner's nodal array, transposed, when that keeps every bit
+(``pde._partner_nodal``).
 Coefficients are exact rationals end to end; they are converted to floating
 point only at the final multiply, and the weighted reduction runs in a fixed
 sorted level order so results are bit-identical regardless of caching or the
@@ -50,7 +53,14 @@ from ._lazy import np
 # the benchmark change that re-points the hooks to _solve_at_table (open as a
 # FOUND line in CHANGES.md).
 from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
-from .pde import ProblemSpec, _PointTable, _solve_at_table, _Workspace, solve_poisson  # noqa: F401
+from .pde import (  # noqa: F401
+    ProblemSpec,
+    _PointTable,
+    _solve_at_table,
+    _swapped,
+    _Workspace,
+    solve_poisson,
+)
 
 __all__ = [
     "CombinationPlan",
@@ -522,10 +532,11 @@ class GridCache:
     do not name the problem.
 
     Besides the values, the cache keeps what the grids evaluated through it
-    share: one workspace for all point sets (the factor transforms and two
-    work buffers the size of the largest grid solved, ``pde._Workspace``) and
-    the point table of the point set it last evaluated, so what it keeps is
-    bounded by the largest grid however many point sets it has seen.
+    share: one workspace for all point sets (the factor transforms, two work
+    buffers the size of the largest grid solved and the last FFT-path grid's
+    nodal array, a view of one of them, ``pde._Workspace``) and the point
+    table of the point set it last evaluated, so what it keeps is bounded by
+    the largest grid however many point sets it has seen.
     Evaluations through one cache write into the same buffers, so they must
     not run concurrently.
     """
@@ -603,11 +614,15 @@ def evaluate_plan(
     evaluations; no nodal grid is formed.
     Grids with a zero level in some direction have no interior unknown under
     homogeneous Dirichlet data; their value is exactly 0.0, so they are
-    neither solved nor summed. The other levels are solved one after another
-    in sorted order; each point's weighted reduction runs over sorted levels
-    with exact coefficients converted to float at the multiply, so every
-    value is bit-identical whatever the cache state or the other points
-    evaluated alongside.
+    neither solved nor summed. The other levels are solved one after another,
+    sorted by (the smaller of the level and its partner, the level), the
+    partner being the level with its first two directions swapped: each
+    level right after its partner, the smaller first, so that on the FFT
+    path the second of a pair can read the first's nodal array
+    (``pde._partner_nodal``). Each point's weighted reduction runs over
+    sorted levels with exact coefficients converted to float at the
+    multiply, so every value is bit-identical whatever the cache state or
+    the other points evaluated alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
@@ -634,11 +649,11 @@ def evaluate_plan(
         work.reserve(largest)
         return tuple(_solve_at_table(p, key[0], table, work).tolist())
 
+    solvable = [level for level in plan.terms if min(level) >= 1]
+    solvable.sort(key=lambda level: (min(level, _swapped(level)), level))
     entries: dict[LevelIndex, tuple[float, ...]] = {}
     newly_solved: list[LevelIndex] = []
-    for level in plan.terms:
-        if min(level) < 1:
-            continue
+    for level in solvable:
         try:
             entries[level], mine = cache.get_or_solve((level, points_key), values_at)
         except Exception as exc:
@@ -651,10 +666,12 @@ def evaluate_plan(
         if mine:
             newly_solved.append(level)
 
-    # entries holds the solvable levels in sorted order; the zero-level terms
-    # would only add exact zeros, which leave a correctly rounded sum as is.
-    terms = plan.terms
-    weighted = [(float(terms[lv]), entry) for lv, entry in entries.items()]
+    # The reduction runs over the solvable levels in sorted order; the
+    # zero-level terms would only add exact zeros, which leave a correctly
+    # rounded sum as is.
+    weighted = [
+        (float(coeff), entries[lv]) for lv, coeff in plan.terms.items() if lv in entries
+    ]
     return EvaluationResult(
         values=tuple(
             math.fsum(c * entry[k] for c, entry in weighted) for k in range(len(pts))

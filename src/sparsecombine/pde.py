@@ -32,14 +32,22 @@ factor transforms and two float64 buffers as large as the largest grid. The
 numerator (the factors' outer product times c) and the eigenvalue denominator
 are each formed in one of them by one broadcast of the fold over the first
 d-1 directions with the last, in the fold's association order, and the
-division runs in place. On the FFT path the inverse transform along the
-longest direction is then an unscaled DST-I in place; its factor 1/2 is
-folded into the denominator's power of two 2**(|l|_1 - d + 1), which scales
-every rounding exactly. So the values keep the bits of a solve that allocates
-every stage afresh, while for separable data the coefficient and transform
-stages allocate no array as large as the grid: a fold over d-1 directions is
-at most a third of it (a last direction with one node is applied in place).
-The sampled path still allocates its forward transforms.
+quotient overwrites the denominator. Sampled data is forward-transformed in
+the two buffers instead, stage by stage (``_forward_transforms``). On the FFT
+path the inverse transform along the longest direction is then an unscaled
+DST-I in place; its factor 1/2 is folded into the denominator's power of two
+2**(|l|_1 - d + 1), which scales every rounding exactly. So the values keep
+the bits of a solve that allocates every stage afresh, while the coefficient
+and transform stages allocate no array as large as the grid: a fold over d-1
+directions is at most a third of it (a last direction with one node is
+applied in place), and sampled data is copied, never written.
+
+The workspace also keeps the last FFT-path grid's nodal array (a view of a
+buffer). The level with the first two directions swapped, solved next for
+the same separable problem with byte-equal factor transforms in those two
+directions, reads it with axes 0 and 1 exchanged and runs only the point
+stage; its values have the bits of its own solve (``_partner_nodal``).
+Plan evaluation solves each level right after that partner.
 """
 
 from __future__ import annotations
@@ -364,6 +372,11 @@ def _factor_coefficients(
     return out
 
 
+def _swapped(level: tuple) -> tuple:
+    # ``level`` with its first two directions exchanged (itself when d = 1).
+    return level[1::-1] + level[2:]
+
+
 class _Workspace:
     """What the grids solved for one problem share, whatever their points:
     the 1-D factor transforms of separable data (``factors``, per (direction,
@@ -373,15 +386,22 @@ class _Workspace:
     The buffers grow to exactly the size reserved, and only when a larger
     grid comes, so they hold at most two copies of the largest grid. What
     :meth:`buffers` returns is overwritten by the next grid.
+
+    ``last`` is (level, problem, nodal array) of the last grid solved, its
+    nodal array being a view of a buffer, when that grid took the FFT path,
+    and None otherwise; growing the buffers clears it too (see
+    :func:`_partner_nodal`).
     """
 
     def __init__(self) -> None:
         self.factors: dict[tuple[int, int], np.ndarray] = {}
+        self.last: Optional[tuple[LevelIndex, ProblemSpec, np.ndarray]] = None
         self._pair: tuple = ()
         self._size = 0
 
     def reserve(self, size: int) -> None:
         if size > self._size:
+            self.last = None
             self._pair = ()  # the old pair is freed before the new one exists
             self._pair = (np.empty(size), np.empty(size))
             self._size = size
@@ -399,38 +419,69 @@ def _sine_coefficients(
     work: _Workspace,
     f_int: Optional[np.ndarray] = None,
     halve: bool = False,
-) -> np.ndarray:
-    """Sine coefficients of the discrete solution of ``p`` on ``level``,
-    written into the first of ``work``'s buffers and returned as a view of it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sine coefficients of the discrete solution of ``p`` on ``level`` and a
+    spare array of their shape: one C-ordered view of each of ``work``'s
+    buffers.
 
     Applying :func:`sine_transform` along every direction to the result gives
     the interior nodal values; with ``halve`` the coefficients are half as
     large, for a caller that applies one unscaled DST-I instead. For separable
     data the right-hand side's coefficients are c times the outer product of
     its factors' transforms (:func:`_factor_coefficients`, cached in
-    ``work.factors``), formed in the buffer. Otherwise they are the forward
-    transforms of the interior data ``f_int``, sampled here when not given and
-    never modified; a direction at level 1 has one interior node and a 1x1
-    sine matrix equal to the identity, so it is not transformed. Either way
-    they are divided by the summed eigenvalues, formed in the second buffer.
+    ``work.factors``), formed in a buffer. Otherwise they are the forward
+    transforms of the interior data ``f_int``, sampled here when not given
+    (:func:`_forward_transforms`). Either way they are divided by the summed
+    eigenvalues, formed in the buffer that does not hold them, and the
+    quotient overwrites the eigenvalues.
     """
-    coeffs, denom = work.buffers(tuple(2 ** v - 1 for v in level))
+    numer, denom = work.buffers(tuple(2 ** v - 1 for v in level))
     if p.rhs_factors is not None:
         factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
-        _outer_into(np.multiply, factors, coeffs)
-        coeffs *= p.rhs_factors[0]
-        numer = coeffs
+        _outer_into(np.multiply, factors, numer)
+        numer *= p.rhs_factors[0]
+        spare = numer
     else:
-        numer = _sample_interior_rhs(p, level) if f_int is None else f_int
-        for axis, v in enumerate(level):
-            if v > 1:
-                numer = sine_transform(numer, axis)
+        f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
+        numer, denom, spare = _forward_transforms(f_int, level, numer, denom)
     # The inverse transforms' factors 2/(m+1) = 2**(1-l), and the 1/2 of
     # ``halve``, multiply into one power of two on the denominator, which
     # scales every rounding exactly (barring underflow to subnormals).
     scale = 2.0 ** (sum(level) - level.dim + halve)
     _outer_into(np.add, [scale * _eigenvalues_1d(v) for v in level], denom)
-    return np.divide(numer, denom, out=coeffs)
+    return np.divide(numer, denom, out=denom), spare
+
+
+def _forward_transforms(
+    f_int: np.ndarray, level: LevelIndex, held: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sine_transform` of the interior data ``f_int`` along every
+    direction but those at level 1 (one interior node, whose 1x1 sine matrix
+    is the identity), computed in the C-ordered buffers ``held`` and
+    ``free``, of ``f_int``'s shape. Returns the transforms, the buffer that
+    does not hold them and the other one.
+
+    Each stage writes into the buffer its input is not in: the direct path
+    its product, laid out as a new product array (:func:`_direct_transform`);
+    the FFT path a C-ordered copy of its input, unless the input is that
+    already, on which the DST-I runs in place and is halved, exactly. So
+    every stage has the bits and the layout of sine_transform's new arrays.
+    ``f_int`` is never written.
+    """
+    numer = f_int
+    for axis, v in enumerate(level):
+        if v == 1:
+            continue
+        if 2 ** v - 1 <= DIRECT_TRANSFORM_MAX:
+            numer = _direct_transform(numer, axis, out=free)
+            held, free = free, held
+            continue
+        if numer is f_int or not numer.flags.c_contiguous:
+            np.copyto(free, numer)
+            numer, held, free = free, free, held
+        numer = _scipy_fft().dst(numer, type=1, axis=axis, overwrite_x=True)
+        numer *= 0.5
+    return numer, free, held
 
 
 def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -528,10 +579,12 @@ def _interpolate_nodal(
     out = np.empty(len(table.pts))
     for start in range(0, len(out), step):
         stop = start + step
-        # Each point blends its two node rows. Indexing gives fresh C-ordered
-        # rows whatever the number of points (a strided view can send a lone
-        # point's np.matmul down another summation path).
-        work = nodal[lower[start:stop]]
+        # Each point blends its two node rows. Indexing gives fresh rows
+        # whatever the number of points (a strided view can send a lone
+        # point's np.matmul down another summation path), laid out as
+        # ``nodal``'s other axes are; rows of a transposed array are put in C
+        # order, which np.matmul sums as it does a solve's own rows.
+        work = np.ascontiguousarray(nodal[lower[start:stop]])
         k = len(work)
         work *= lower_w[start:stop].reshape(per_point)
         up = nodal[upper[start:stop]]
@@ -610,7 +663,7 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
     level = _solvable_level(p, l)
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    interior = _sine_coefficients(p, level, _Workspace(), f_int)
+    interior = _sine_coefficients(p, level, _Workspace(), f_int)[0]
     for axis, v in enumerate(level):
         if v > 1:
             interior = sine_transform(interior, axis)
@@ -657,21 +710,58 @@ def _solve_at_table(
     share the factor transforms and work buffers of ``work`` (a fresh
     workspace when None). On the FFT path the inverse transform along the
     longest direction runs in place, its factor 1/2 folded into the
-    coefficients (see the module docstring); the direct path writes its
-    product into the second buffer.
+    coefficients (see the module docstring), unless the level's nodal array
+    can be read from ``work.last`` (:func:`_partner_nodal`); either way it is
+    kept there. The direct path writes its product into the spare buffer.
     """
     work = _Workspace() if work is None else work
     a = level.index(max(level))
     m = 2 ** level[a] - 1
     fft = m > DIRECT_TRANSFORM_MAX
-    coeffs = _sine_coefficients(p, level, work, halve=fft)
+    nodal = _partner_nodal(p, level, work) if fft else None
+    if nodal is None:
+        work.last = None
+        coeffs, spare = _sine_coefficients(p, level, work, halve=fft)
+        if fft:
+            nodal = _scipy_fft().dst(coeffs, type=1, axis=a, overwrite_x=True)
+        elif m > 1:
+            nodal = _direct_transform(coeffs, a, out=spare)
+        else:
+            nodal = coeffs
     if fft:
-        nodal = _scipy_fft().dst(coeffs, type=1, axis=a, overwrite_x=True)
-    elif m > 1:
-        nodal = _direct_transform(coeffs, a, out=work.buffers(coeffs.shape)[1])
-    else:
-        nodal = coeffs
+        work.last = (level, p, nodal)
     return _interpolate_nodal(nodal, level, a, table)
+
+
+def _partner_nodal(
+    p: ProblemSpec, level: LevelIndex, work: _Workspace
+) -> Optional[np.ndarray]:
+    """The nodal array of an FFT-path ``level`` read from ``work.last``, or
+    None when that does not hold it.
+
+    It does when ``work.last`` holds the level's partner, the level with its
+    first two directions swapped (none when l_0 = l_1), solved for the same
+    separable problem ``p`` whose factor transforms in those two directions
+    are byte-equal to the level's, crossed. The outer products of
+    :func:`_sine_coefficients` fold from the left in direction order and IEEE
+    + and * commute, so the level's coefficients and denominator are the
+    partner's with axes 0 and 1 exchanged, entry by entry. As l_0 != l_1, the
+    longest directions are exchanged too, and pocketfft transforms their
+    DST-I lines alike in any layout. The partner's nodal array with axes 0
+    and 1 exchanged thus holds the bits of a solve.
+    """
+    last = work.last
+    if last is None or last[1] is not p or p.rhs_factors is None:
+        return None
+    partner, _, nodal = last
+    if partner == level or partner != _swapped(level):
+        return None
+    for j in (0, 1):
+        mine = _factor_coefficients(p, j, level, work.factors)
+        theirs = _factor_coefficients(p, 1 - j, partner, work.factors)
+        if mine.tobytes() != theirs.tobytes():
+            return None
+    return nodal.swapaxes(0, 1)
 
 
 def apply_operator(g: GridFunction) -> GridFunction:

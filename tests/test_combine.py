@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,11 +34,14 @@ from sparsecombine.combine import (
     surplus_order,
     _node_total,
 )
+from sparsecombine import pde
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
+    DIRECT_TRANSFORM_MAX,
     ProblemSpec,
     _PointTable,
     _solve_at_table,
+    _swapped,
     builtin_sine_problem,
     solve_at_points,
     solve_poisson,
@@ -731,6 +735,31 @@ def test_cache_warmed_by_larger_grids_serves_smaller_plan():
         assert warm.grids_solved == len(small)
         assert warm.values == evaluate_plan(p, small, pts).values
         assert cache._work._size == max(lv.interior_count() for lv in large.terms)
+
+
+def test_cache_holding_one_of_each_pair_serves_plan():
+    # A cold evaluation solves each level right after its partner (the level
+    # with its first two directions swapped), so an FFT-path level that
+    # follows its partner needs no coefficients of its own. A cache warmed,
+    # through an explicit plan, with exactly one level of each pair solves
+    # the others with no partner before them, and serves the HOSG plan with
+    # the bytes of a cold cache.
+    p = builtin_sine_problem(3)
+    pts = [default_eval_point(3), (0.1, 0.93, 0.6)]
+    plan = ho_plan(3, 4).shifted(1)
+    with mock.patch.object(pde, "_sine_coefficients", wraps=pde._sine_coefficients) as spy:
+        cold = evaluate_plan(p, plan, pts)
+    followers = [
+        lv for lv in plan.terms if 2 ** max(lv) - 1 > DIRECT_TRANSFORM_MAX and lv > _swapped(lv)
+    ]
+    assert followers and spy.call_count == len(plan) - len(followers)
+    for keep in (min, max):
+        half = CombinationPlan(3, {keep(lv, _swapped(lv)): 1 for lv in plan.terms})
+        cache = GridCache()
+        evaluate_plan(p, half, pts, cache)
+        warm = evaluate_plan(p, plan, pts, cache)
+        assert warm.grids_solved == len(plan) - len(half)
+        assert warm.values == cold.values
 
 
 def test_study_transforms_each_factor_once():

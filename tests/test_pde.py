@@ -1,12 +1,15 @@
+import dataclasses
 import decimal
 import math
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from sparsecombine import pde
 from sparsecombine.combine import default_eval_point, method_plan
 from sparsecombine.grid import GridFunction, LevelIndex, _checked_points, multilinear_eval
 from sparsecombine.pde import (
@@ -21,6 +24,7 @@ from sparsecombine.pde import (
     _outer,
     _sample_interior_rhs,
     _solve_at_table,
+    _swapped,
     apply_operator,
     builtin_sine_problem,
     sine_transform,
@@ -421,13 +425,15 @@ def test_high_dimension_matches_assembled_oracle(d):
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
-def _separable_problems(d, seed):
+def _separable_problems(d, seed, twin=False):
     # f = c prod_j g_j(x_j) with smooth random factors g_j(x) =
     # cos(a_j x + b_j) + e_j x^2, given once by its factors and once by its
-    # sampled grid only.
+    # sampled grid only. With ``twin`` directions 0 and 1 share their factor.
     rng = np.random.default_rng(seed)
     a, b, e = rng.uniform(0.5, 6.0, size=(3, d))
     c = float(rng.uniform(-3.0, 3.0))
+    if twin:
+        a[0], b[0], e[0] = a[1], b[1], e[1]
 
     def g(j, v):
         x = np.arange(1, 2 ** v) * 2.0 ** -v
@@ -543,6 +549,118 @@ def test_workspace_reuse_bit_identical(d):
             for lv in order:
                 assert _solve_at_table(p, lv, table, work).tobytes() == fresh[lv].tobytes()
             assert work._size == max(lv.interior_count() for lv in levels)
+
+
+@st.composite
+def _fft_levels(draw):
+    # A level of at most 2**20 interior nodes at d = 2..4 whose longest
+    # direction takes the FFT path, with no tie, with l0 == l1, or with its
+    # maximum in direction 2 and in one of directions 0 and 1.
+    d = draw(st.integers(min_value=2, max_value=4))
+    top = draw(st.integers(min_value=7, max_value=10))
+    level = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=d, max_size=d))
+    level[draw(st.integers(min_value=0, max_value=d - 1))] = top
+    tie = draw(st.sampled_from(["none", "l0 == l1", "maximum in direction 2"]))
+    if tie == "l0 == l1":
+        level[0] = level[1] = max(level[:2])
+    elif tie == "maximum in direction 2" and d > 2:
+        level[2] = level[draw(st.integers(min_value=0, max_value=1))] = top
+    level = LevelIndex(level)
+    assume(level.interior_count() <= 2 ** 20)
+    return level
+
+
+def _solve_counted(p, level, table, work):
+    # _solve_at_table and the number of _sine_coefficients calls it made.
+    with mock.patch.object(pde, "_sine_coefficients", wraps=pde._sine_coefficients) as spy:
+        values = _solve_at_table(p, level, table, work)
+    return values, spy.call_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fft_levels(), st.integers(min_value=0, max_value=2 ** 31 - 1))
+# The rows of this level's partner, transposed, are summed by np.matmul in
+# another order unless put in C order.
+@example(LevelIndex((3, 5, 9)), 0)
+# Its own swap: transposed, its nodal array would be transformed along the
+# wrong direction.
+@example(LevelIndex((7, 7)), 0)
+def test_partner_nodal_array_bit_identical(level, seed):
+    # An FFT-path level solved right after its partner (the level with its
+    # first two directions swapped) reads the partner's nodal array with
+    # those axes exchanged instead of solving, and its values have the bytes
+    # of a cold solve: for the built-in problem and for separable data whose
+    # factors agree in directions 0 and 1 only. A level with l0 == l1 has no
+    # partner and is solved again.
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([_probe_points(level, rng), rng.uniform(size=(30, level.dim))])
+    for p in (builtin_sine_problem(level.dim), _separable_problems(level.dim, seed, True)[0]):
+        cold = _solve_at_table(p, level, _PointTable(pts), _Workspace())
+        table, work = _PointTable(pts), _Workspace()
+        _solve_at_table(p, LevelIndex(_swapped(level)), table, work)
+        warm, solves = _solve_counted(p, level, table, work)
+        assert solves == (level[0] == level[1])
+        assert warm.tobytes() == cold.tobytes()
+
+
+def test_partner_with_other_factors_is_solved():
+    # Separable data whose factors differ in directions 0 and 1: a level
+    # solved right after its partner is solved itself and matches the
+    # assembled oracle.
+    rng = np.random.default_rng(5)
+    for level in (LevelIndex((7, 2)), LevelIndex((2, 7, 1)), LevelIndex((1, 2, 7))):
+        p, _ = _separable_problems(level.dim, 11)
+        pts = _probe_points(level, rng)
+        table, work = _PointTable(pts), _Workspace()
+        _solve_at_table(p, LevelIndex(_swapped(level)), table, work)
+        got, solves = _solve_counted(p, level, table, work)
+        assert solves == 1
+        ref = solve_assembled(p, level)
+        want = [interp_corners(ref, level, x) for x in pts]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * float(np.max(np.abs(ref))))
+
+
+def test_partner_slot_cleared_by_other_solves():
+    # Between a level and its partner, a direct-path solve, an FFT-path solve
+    # of another problem or grown buffers leave the partner's nodal array
+    # unusable; so does a partner solved for another problem with the same
+    # factors. The level is then solved and keeps the bytes of a cold solve.
+    p = builtin_sine_problem(3)
+    c, g = p.rhs_factors
+    sampled = ProblemSpec(dim=3, rhs=p.rhs, rhs_grid=p.rhs_grid)
+    level = LevelIndex((2, 7, 1))
+    pts = _probe_points(level, np.random.default_rng(3))
+    cold = _solve_at_table(p, level, _PointTable(pts), _Workspace())
+    # (problem the partner is solved for, what runs between the two solves)
+    cases = (
+        (p, lambda table, work: _solve_at_table(p, LevelIndex((3, 3, 2)), table, work)),
+        (p, lambda table, work: _solve_at_table(sampled, LevelIndex((1, 7, 2)), table, work)),
+        (p, lambda table, work: work.reserve(4 * level.interior_count())),
+        (dataclasses.replace(p, rhs_factors=(2 * c, g)), lambda table, work: None),
+    )
+    for first, between in cases:
+        table, work = _PointTable(pts), _Workspace()
+        _solve_at_table(first, LevelIndex(_swapped(level)), table, work)
+        between(table, work)
+        warm, solves = _solve_counted(p, level, table, work)
+        assert solves == 1
+        assert warm.tobytes() == cold.tobytes()
+
+
+def test_partner_factor_of_wrong_shape_raises():
+    # A level solved right after its partner still samples its own factors,
+    # so one of the wrong shape raises as in a cold solve.
+    base = builtin_sine_problem(2)
+    c, g = base.rhs_factors
+
+    def short(j, v):
+        return g(j, v)[:-1] if (j, v) == (0, 2) else g(j, v)
+
+    p = dataclasses.replace(base, rhs_factors=(c, short))
+    table, work = _PointTable(np.array([[0.3, 0.6]])), _Workspace()
+    _solve_at_table(p, LevelIndex((7, 2)), table, work)
+    with pytest.raises(ValueError, match=r"shape \(2,\) for direction 0 of level \(2, 7\)"):
+        _solve_at_table(p, LevelIndex((2, 7)), table, work)
 
 
 def test_builtin_grid_values_match_decimal_closed_form():
