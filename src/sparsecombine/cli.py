@@ -131,19 +131,7 @@ def write_records_json(
 ) -> None:
     payload = {
         "config": metadata or {},
-        "records": [
-            {
-                "method": r.method,
-                "d": r.d,
-                "n": r.n,
-                "dof_unique": r.dof_unique,
-                "dof_total": r.dof_total,
-                "value": r.value,
-                "surplus": r.surplus,
-                "runtime_s": r.runtime_s,
-            }
-            for r in records
-        ],
+        "records": [{name: getattr(r, name) for name in CSV_FIELDS} for r in records],
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")

@@ -528,8 +528,9 @@ class GridCache:
     A key is (level, point set) and its entry is the tuple of the K values
     the grid's interpolant takes at those points; the cache never holds a
     grid. A level looked up with another point set is a different key. A
-    solve that raises stores nothing. A cache serves one problem: its keys
-    do not name the problem.
+    solve that raises stores nothing. A cache serves one problem, the first
+    it evaluates: its keys do not name the problem, so evaluating another one
+    (by identity) through it raises ValueError.
 
     Besides the values, the cache keeps what the grids evaluated through it
     share: one workspace for all point sets (the factor transforms, two work
@@ -543,13 +544,20 @@ class GridCache:
 
     def __init__(self) -> None:
         self._entries: dict[CacheKey, tuple[float, ...]] = {}
+        self._problem: Optional[ProblemSpec] = None
         self._work = _Workspace()
         self._points: Optional[bytes] = None
         self._table: Optional[_PointTable] = None
 
-    def _context(self, pts: np.ndarray, points_key: bytes) -> tuple[_PointTable, _Workspace]:
+    def _context(
+        self, p: ProblemSpec, pts: np.ndarray, points_key: bytes
+    ) -> tuple[_PointTable, _Workspace]:
         # The point table of ``pts`` (whose bytes are ``points_key``) and the
-        # workspace, for the grids evaluated at ``pts``.
+        # workspace, for the grids of ``p`` evaluated at ``pts``.
+        if self._problem is None:
+            self._problem = p
+        elif p is not self._problem:
+            raise ValueError("this GridCache holds the values of another problem")
         if points_key != self._points:
             self._table, self._points = _PointTable(pts), points_key
         return self._table, self._work
@@ -641,7 +649,7 @@ def evaluate_plan(
     if cache is None:
         cache = GridCache()
     points_key = pts.tobytes()
-    table, work = cache._context(pts, points_key)
+    table, work = cache._context(p, pts, points_key)
     # The work buffers are grown once per evaluation, to its largest grid.
     largest = max(map(LevelIndex.interior_count, plan.terms), default=0)
 

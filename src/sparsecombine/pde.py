@@ -8,16 +8,16 @@ eigenvectors are discrete sine modes, so a solve is one forward sine transform
 per direction, a pointwise division by summed eigenvalues, and the inverse
 transforms. Exact to rounding, no iteration tuning.
 
-The forward transforms and the division give the solution's sine
-coefficients; ``solve_poisson`` turns them into the nodal grid with the
-inverse transforms. ``solve_at_points`` never forms that grid: the
-multilinear interpolant is linear in the nodal values and every nodal value
-is a sine sum. It applies one inverse transform, along the longest
-direction, blends each point's two node rows there and contracts the other
-directions' coefficients with one sine weight vector per point and
-direction. Those rows, blend weights and sine weight vectors depend only on
-the points and on one (direction, level) pair, so grids evaluated at the same
-points share them through one point table (``_PointTable``).
+One stage solves every grid (``_solve_along``): the sine coefficients, the
+division and the inverse transforms along the directions asked for, every
+one for ``solve_poisson``'s nodal grid. ``solve_at_points`` never forms that
+grid: the multilinear interpolant is linear in the nodal values and every
+nodal value is a sine sum. It asks for the longest direction only, blends
+each point's two node rows there and contracts the other directions'
+coefficients with one sine weight vector per point and direction. Those
+rows, blend weights and sine weight vectors depend only on the points and on
+one (direction, level) pair, so grids evaluated at the same points share
+them through one point table (``_PointTable``).
 
 For separable data f = c * prod_j g_j(x_j) (``ProblemSpec.rhs_factors``) the
 right-hand side's sine coefficients are the outer product of the factors' 1-D
@@ -27,20 +27,21 @@ float64, and grids evaluated together share them per (direction, level).
 Where ``np.longdouble`` is float64 (Windows, macOS on arm64) they have
 float64 accuracy.
 
-Grids evaluated one after another share a workspace (``_Workspace``): the
-factor transforms and two float64 buffers as large as the largest grid. The
-numerator (the factors' outer product times c) and the eigenvalue denominator
-are each formed in one of them by one broadcast of the fold over the first
-d-1 directions with the last, in the fold's association order, and the
-quotient overwrites the denominator. Sampled data is forward-transformed in
-the two buffers instead, stage by stage (``_forward_transforms``). On the FFT
-path the inverse transform along the longest direction is then an unscaled
-DST-I in place; its factor 1/2 is folded into the denominator's power of two
-2**(|l|_1 - d + 1), which scales every rounding exactly. So the values keep
-the bits of a solve that allocates every stage afresh, while the coefficient
-and transform stages allocate no array as large as the grid: a fold over d-1
-directions is at most a third of it (a last direction with one node is
-applied in place), and sampled data is copied, never written.
+A solve writes every grid-sized stage into the two float64 buffers of a
+workspace (``_Workspace``), shared with the factor transforms by the grids
+solved one after another. The numerator (the factors' outer product times
+c) and the eigenvalue denominator are each formed in one of them by one
+broadcast of the fold over the first d-1 directions with the last, in the
+fold's association order; the quotient overwrites the denominator. Every
+sine transform, forward (sampled data) or inverse, runs through one routine
+(``_transforms``): a direct stage is a matmul into the free buffer, an FFT
+stage an unscaled DST-I in place, its 1/2 folded into the denominator's
+power of two 2**(|l|_1 - d + FFT stages), which scales every rounding
+exactly. So the values keep the bits of ``sine_transform`` applied to a new
+array at every stage, while no stage allocates an array as large as the
+grid: a fold over d-1 directions is at most a third of it (a last direction
+with one node is applied in place), and sampled data is copied, never
+written.
 
 The workspace also keeps the last FFT-path grid's nodal array (a view of a
 buffer). The level with the first two directions swapped, solved next for
@@ -413,75 +414,73 @@ class _Workspace:
         return tuple(buf[:size].reshape(shape) for buf in self._pair)
 
 
-def _sine_coefficients(
-    p: ProblemSpec,
-    level: LevelIndex,
-    work: _Workspace,
-    f_int: Optional[np.ndarray] = None,
-    halve: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sine coefficients of the discrete solution of ``p`` on ``level`` and a
-    spare array of their shape: one C-ordered view of each of ``work``'s
-    buffers.
+def _uses_fft(m: int) -> bool:
+    # The transform path of a direction with m nodes: FFT above the direct max.
+    return m > DIRECT_TRANSFORM_MAX
 
-    Applying :func:`sine_transform` along every direction to the result gives
-    the interior nodal values; with ``halve`` the coefficients are half as
-    large, for a caller that applies one unscaled DST-I instead. For separable
-    data the right-hand side's coefficients are c times the outer product of
-    its factors' transforms (:func:`_factor_coefficients`, cached in
-    ``work.factors``), formed in a buffer. Otherwise they are the forward
-    transforms of the interior data ``f_int``, sampled here when not given
-    (:func:`_forward_transforms`). Either way they are divided by the summed
-    eigenvalues, formed in the buffer that does not hold them, and the
-    quotient overwrites the eigenvalues.
+
+def _transforms(a: np.ndarray, axes, held: np.ndarray, free: np.ndarray, owned: bool):
+    """:func:`sine_transform` of ``a`` along each of ``axes`` without the 1/2
+    of its FFT path, in the C-ordered buffers ``held`` and ``free`` of a's
+    shape; ``a`` is a view of ``held`` when ``owned``, else never written.
+    Returns the transform, the buffer holding it (``held`` if no stage ran)
+    and the other one.
+
+    Directions with one node (a 1x1 identity) are skipped. A direct stage
+    writes its product into the free buffer, laid out as a new product array
+    (:func:`_direct_transform`); an FFT stage runs the DST-I in place on a
+    C-ordered buffer, copying its input into the free one unless it owns it
+    in C order. So every stage has the layout of sine_transform's new array
+    and, up to a power of two, its bits.
     """
-    numer, denom = work.buffers(tuple(2 ** v - 1 for v in level))
+    for axis in axes:
+        m = a.shape[axis]
+        if m == 1:
+            continue
+        if not _uses_fft(m):
+            a = _direct_transform(a, axis, out=free)
+            held, free = free, held
+        else:
+            if not (owned and a.flags.c_contiguous):
+                np.copyto(free, a)
+                a, held, free = free, free, held
+            a = _scipy_fft().dst(a, type=1, axis=axis, overwrite_x=True)
+        owned = True
+    return a, held, free
+
+
+def _solve_along(
+    p: ProblemSpec, level: LevelIndex, work: _Workspace, axes, f_int=None
+) -> np.ndarray:
+    """The discrete solution of ``p`` on ``level``, nodal along ``axes`` and
+    sine coefficients in the other directions: a view of one of ``work``'s
+    buffers, overwritten by the next solve.
+
+    The right-hand side's coefficients are, for separable data, c times the
+    outer product of its factors' transforms (:func:`_factor_coefficients`,
+    cached in ``work.factors``), otherwise the transforms of the interior data
+    ``f_int`` (sampled when not given) along every direction. The summed
+    eigenvalues are formed in the buffer that does not hold them, the
+    quotient overwrites them and is transformed along ``axes``. The factors
+    2**(1-l) of the inverse transforms and the 1/2 of every FFT stage make
+    one power of two on the denominator, 2**(|l|_1 - d + FFT stages), which
+    scales every rounding exactly (barring underflow to subnormals).
+    """
+    held, free = work.buffers(tuple(2 ** v - 1 for v in level))
     if p.rhs_factors is not None:
         factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
-        _outer_into(np.multiply, factors, numer)
-        numer *= p.rhs_factors[0]
-        spare = numer
+        _outer_into(np.multiply, factors, held)
+        held *= p.rhs_factors[0]
+        numer, stages = held, list(axes)
     else:
         f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
-        numer, denom, spare = _forward_transforms(f_int, level, numer, denom)
-    # The inverse transforms' factors 2/(m+1) = 2**(1-l), and the 1/2 of
-    # ``halve``, multiply into one power of two on the denominator, which
-    # scales every rounding exactly (barring underflow to subnormals).
-    scale = 2.0 ** (sum(level) - level.dim + halve)
-    _outer_into(np.add, [scale * _eigenvalues_1d(v) for v in level], denom)
-    return np.divide(numer, denom, out=denom), spare
-
-
-def _forward_transforms(
-    f_int: np.ndarray, level: LevelIndex, held: np.ndarray, free: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`sine_transform` of the interior data ``f_int`` along every
-    direction but those at level 1 (one interior node, whose 1x1 sine matrix
-    is the identity), computed in the C-ordered buffers ``held`` and
-    ``free``, of ``f_int``'s shape. Returns the transforms, the buffer that
-    does not hold them and the other one.
-
-    Each stage writes into the buffer its input is not in: the direct path
-    its product, laid out as a new product array (:func:`_direct_transform`);
-    the FFT path a C-ordered copy of its input, unless the input is that
-    already, on which the DST-I runs in place and is halved, exactly. So
-    every stage has the bits and the layout of sine_transform's new arrays.
-    ``f_int`` is never written.
-    """
-    numer = f_int
-    for axis, v in enumerate(level):
-        if v == 1:
-            continue
-        if 2 ** v - 1 <= DIRECT_TRANSFORM_MAX:
-            numer = _direct_transform(numer, axis, out=free)
-            held, free = free, held
-            continue
-        if numer is f_int or not numer.flags.c_contiguous:
-            np.copyto(free, numer)
-            numer, held, free = free, free, held
-        numer = _scipy_fft().dst(numer, type=1, axis=axis, overwrite_x=True)
-        numer *= 0.5
-    return numer, free, held
+        numer, held, free = _transforms(f_int, range(level.dim), held, free, False)
+        stages = [*range(level.dim), *axes]
+    halves = sum(_uses_fft(held.shape[j]) for j in stages)
+    scale = 2.0 ** (sum(level) - level.dim + halves)
+    _outer_into(np.add, [scale * _eigenvalues_1d(v) for v in level], free)
+    np.divide(numer, free, out=free)
+    return _transforms(free, axes, free, held, True)[0]
 
 
 def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -651,22 +650,25 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
 
     Returns the nodal solution (boundary entries exactly 0) and a report whose
     max-norm interior residual is measured when first read (``solve_seconds``
-    does not include it). The solve is :func:`_sine_coefficients` followed by
-    the inverse sine transforms: a direct method, exact up to rounding, so
-    re-solving against the measured residual cannot improve the stored
-    solution and is never attempted. The reported residual is the honestly
-    measured value; note that evaluating the stencil in float64 scales nodal
+    does not include it). The solve is :func:`_solve_along` with the inverse
+    transforms along every direction, in the two buffers of a fresh
+    workspace: a direct method, exact up to rounding, so re-solving against
+    the measured residual cannot improve the stored solution and is never
+    attempted. The reported residual is the honestly measured value; note
+    that evaluating the stencil in float64 scales nodal
     values by h_k^-2 before cancellation, so on strongly anisotropic grids
     (max l_j >= ~12) the measurement itself saturates near
     eps * sum_k h_k^-2 * (1 + max|u_h|) even though the solution is accurate.
     """
     level = _solvable_level(p, l)
+    # scipy.fft is loaded before the clock starts, so that a process's first
+    # solve does not time its import: for separable data's factor transforms
+    # and for FFT-path stages.
+    if any(_uses_fft(2 ** v - 1) or (p.rhs_factors is not None and v > 1) for v in level):
+        _scipy_fft()
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    interior = _sine_coefficients(p, level, _Workspace(), f_int)[0]
-    for axis, v in enumerate(level):
-        if v > 1:
-            interior = sine_transform(interior, axis)
+    interior = _solve_along(p, level, _Workspace(), range(level.dim), f_int)
     full = np.zeros(level.points_per_direction())
     full[tuple(slice(1, -1) for _ in level)] = interior
     grid = GridFunction._from_owned(level, full)
@@ -708,26 +710,18 @@ def _solve_at_table(
     """:func:`solve_at_points` for a solvable ``level`` of ``p`` at the points
     of ``table``, which the grids evaluated at those points share, as they
     share the factor transforms and work buffers of ``work`` (a fresh
-    workspace when None). On the FFT path the inverse transform along the
-    longest direction runs in place, its factor 1/2 folded into the
-    coefficients (see the module docstring), unless the level's nodal array
-    can be read from ``work.last`` (:func:`_partner_nodal`); either way it is
-    kept there. The direct path writes its product into the spare buffer.
+    workspace when None): :func:`_solve_along` with the inverse transform
+    along the longest direction. On the FFT path the level's nodal array is
+    read from ``work.last`` when it holds it (:func:`_partner_nodal`), and
+    either way kept there.
     """
     work = _Workspace() if work is None else work
     a = level.index(max(level))
-    m = 2 ** level[a] - 1
-    fft = m > DIRECT_TRANSFORM_MAX
+    fft = _uses_fft(2 ** level[a] - 1)
     nodal = _partner_nodal(p, level, work) if fft else None
     if nodal is None:
         work.last = None
-        coeffs, spare = _sine_coefficients(p, level, work, halve=fft)
-        if fft:
-            nodal = _scipy_fft().dst(coeffs, type=1, axis=a, overwrite_x=True)
-        elif m > 1:
-            nodal = _direct_transform(coeffs, a, out=spare)
-        else:
-            nodal = coeffs
+        nodal = _solve_along(p, level, work, (a,))
     if fft:
         work.last = (level, p, nodal)
     return _interpolate_nodal(nodal, level, a, table)
@@ -743,7 +737,7 @@ def _partner_nodal(
     first two directions swapped (none when l_0 = l_1), solved for the same
     separable problem ``p`` whose factor transforms in those two directions
     are byte-equal to the level's, crossed. The outer products of
-    :func:`_sine_coefficients` fold from the left in direction order and IEEE
+    :func:`_solve_along` fold from the left in direction order and IEEE
     + and * commute, so the level's coefficients and denominator are the
     partner's with axes 0 and 1 exchanged, entry by entry. As l_0 != l_1, the
     longest directions are exchanged too, and pocketfft transforms their

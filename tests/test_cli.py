@@ -564,6 +564,16 @@ def test_solve_json(capsys):
     assert payload["residual_inf"] < 1e-9
 
 
+def test_solve_matches_golden_file(capsys):
+    # A solve's JSON but for solve_seconds, with FFT-path and direct-path
+    # directions, has the golden bytes.
+    assert run_main(["solve", "--dim", "3", "--level", "8,3,2"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    del payload["solve_seconds"]
+    text = json.dumps(payload, indent=2) + "\n"
+    assert text.encode("utf-8") == (DATA / "solve_d3_l832.json").read_bytes()
+
+
 def test_solve_point_flag(capsys):
     assert run_main(
         ["solve", "--dim", "1", "--level", "4", "--point", "0.5"]

@@ -747,7 +747,7 @@ def test_cache_holding_one_of_each_pair_serves_plan():
     p = builtin_sine_problem(3)
     pts = [default_eval_point(3), (0.1, 0.93, 0.6)]
     plan = ho_plan(3, 4).shifted(1)
-    with mock.patch.object(pde, "_sine_coefficients", wraps=pde._sine_coefficients) as spy:
+    with mock.patch.object(pde, "_solve_along", wraps=pde._solve_along) as spy:
         cold = evaluate_plan(p, plan, pts)
     followers = [
         lv for lv in plan.terms if 2 ** max(lv) - 1 > DIRECT_TRANSFORM_MAX and lv > _swapped(lv)
@@ -760,6 +760,25 @@ def test_cache_holding_one_of_each_pair_serves_plan():
         warm = evaluate_plan(p, plan, pts, cache)
         assert warm.grids_solved == len(plan) - len(half)
         assert warm.values == cold.values
+
+
+def test_cache_serves_one_problem():
+    # A cache is bound to the first problem evaluated through it: another
+    # problem, even one with the same data, raises instead of reading the
+    # first one's values and factor transforms, and the first keeps its
+    # values.
+    p = builtin_sine_problem(2)
+    c, g = p.rhs_factors
+    doubled = dataclasses.replace(p, rhs_factors=(2 * c, g))
+    plan = ho_plan(2, 4).shifted(1)
+    x = default_eval_point(2)
+    cache = GridCache()
+    first = evaluate_plan(p, plan, x, cache)
+    for other in (doubled, builtin_sine_problem(2)):
+        with pytest.raises(ValueError, match="another problem"):
+            evaluate_plan(other, plan, x, cache)
+    assert evaluate_plan(p, plan, x, cache).values == first.values
+    assert evaluate_plan(doubled, plan, x, GridCache()).value == pytest.approx(2 * first.value)
 
 
 def test_study_transforms_each_factor_once():

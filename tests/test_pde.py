@@ -1,7 +1,9 @@
 import dataclasses
 import decimal
 import math
+import time
 import tracemalloc
+import types
 from functools import reduce
 from unittest import mock
 
@@ -25,6 +27,7 @@ from sparsecombine.pde import (
     _sample_interior_rhs,
     _solve_at_table,
     _swapped,
+    _uses_fft,
     apply_operator,
     builtin_sine_problem,
     sine_transform,
@@ -186,6 +189,27 @@ def test_zero_rhs_gives_zero():
     u, rep = solve_poisson(p, (3, 4))
     np.testing.assert_array_equal(u.values, np.zeros(u.values.size))
     assert rep.residual_inf == 0.0
+
+
+def test_solve_clock_starts_after_scipy_fft_loads(monkeypatch):
+    # A process's first solve does not time importing scipy.fft: it is
+    # loaded when the clock starts for a solve that uses it, one of
+    # separable data (its factor transforms) or with an FFT-path direction,
+    # and a sampled solve on the direct path leaves it unloaded.
+    builtin = builtin_sine_problem(2)
+    sampled = ProblemSpec(dim=2, rhs=builtin.rhs, rhs_grid=builtin.rhs_grid)
+    loaded = []
+
+    def perf_counter():
+        loaded.append(pde._scipy_fft.cache_info().currsize)
+        return time.perf_counter()
+
+    monkeypatch.setattr(pde, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    for p, level, want in ((builtin, (3, 2), 1), (sampled, (7, 2), 1), (sampled, (3, 2), 0)):
+        pde._scipy_fft.cache_clear()
+        loaded.clear()
+        solve_poisson(p, level)
+        assert loaded == [want, want]
 
 
 def test_boundary_is_zero():
@@ -501,11 +525,10 @@ def test_factor_cache_bit_identical(d):
         assert len(warm.factors) == len(want)
 
 
-def _fresh_array_point_values(p, level, pts):
-    # The point values with a new array at every stage: the outer products
-    # of _outer, the division into a new array and, along the longest
-    # direction, sine_transform (0.5 * DST-I on the FFT path).
-    level = LevelIndex(level)
+def _fresh_array_solve(p, level, axes):
+    # The solve with a new array at every stage: the outer products of
+    # _outer, the division into a new array and sine_transform (0.5 * DST-I
+    # on the FFT path), forward for sampled data and inverse along ``axes``.
     if p.rhs_factors is not None:
         factors = [_factor_coefficients(p, j, level, {}) for j in range(level.dim)]
         numer = _outer(np.multiply, factors)
@@ -516,10 +539,51 @@ def _fresh_array_point_values(p, level, pts):
             if v > 1:
                 numer = sine_transform(numer, axis)
     scale = 2.0 ** (sum(level) - level.dim)
-    coeffs = numer / _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
+    out = numer / _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
+    for axis in axes:
+        if level[axis] > 1:
+            out = sine_transform(out, axis)
+    return out
+
+
+def _fresh_array_point_values(p, level, pts):
+    # The point values from _fresh_array_solve along the longest direction.
+    level = LevelIndex(level)
     a = level.index(max(level))
-    nodal = sine_transform(coeffs, a) if level[a] > 1 else coeffs
+    nodal = _fresh_array_solve(p, level, [a])
     return _interpolate_nodal(nodal, level, a, _PointTable(_checked_points(pts, level.dim)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_solve_poisson_bit_identical(d):
+    # solve_poisson's nodal grid, every stage of which runs in two buffers
+    # with the FFT stages' 1/2 folded into the denominator, has the bits of
+    # the solve with a new array at every stage, and exact zeros on the
+    # boundary; for the built-in problem, its sampled-only twin and separable
+    # data given by factors and sampled, on grids whose directions mix the
+    # FFT path (m >= 127), the direct one and single nodes.
+    rng = np.random.default_rng(40 + d)
+    tops = {1: (1, 3, 7, 9), 2: (6, 7, 8), 3: (6, 7, 8), 4: (6, 7)}[d]
+    levels = {
+        LevelIndex(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
+        for top in tops
+    }
+    if d > 1:
+        levels |= {LevelIndex((7, 8) + (2,) * (d - 2)), LevelIndex((2,) * (d - 2) + (8, 1))}
+    if d == 4:
+        # Run in place on the direct stage's transposed product, the FFT
+        # stage along direction 1 would change the separable data's bits.
+        levels.add(LevelIndex((3, 7, 1, 3)))
+    assert any(_uses_fft(2 ** max(lv) - 1) for lv in levels)
+    assert d == 1 or any(min(lv) > 1 and not _uses_fft(2 ** min(lv) - 1) for lv in levels)
+    builtin = builtin_sine_problem(d)
+    sampled = ProblemSpec(dim=d, rhs=builtin.rhs, rhs_grid=builtin.rhs_grid)
+    for p in (builtin, sampled, *_separable_problems(d, d)):
+        for level in sorted(levels):
+            u, _ = solve_poisson(p, level)
+            want = np.zeros(level.points_per_direction())
+            want[(slice(1, -1),) * d] = _fresh_array_solve(p, level, range(d))
+            assert u.ndview().tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -571,8 +635,8 @@ def _fft_levels(draw):
 
 
 def _solve_counted(p, level, table, work):
-    # _solve_at_table and the number of _sine_coefficients calls it made.
-    with mock.patch.object(pde, "_sine_coefficients", wraps=pde._sine_coefficients) as spy:
+    # _solve_at_table and the number of _solve_along calls it made.
+    with mock.patch.object(pde, "_solve_along", wraps=pde._solve_along) as spy:
         values = _solve_at_table(p, level, table, work)
     return values, spy.call_count
 
