@@ -2,7 +2,8 @@
 inspection, and single-grid solves on the built-in benchmark problem.
 
 Exit codes: 0 ok, 1 verification failure, 2 node budget exceeded, 3 bad
-configuration or usage, or out of memory.
+configuration or usage, or out of memory, 141 (128 + SIGPIPE) the reader of
+the output closed it early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_BAD_CONFIG = 3
+EXIT_BROKEN_PIPE = 141
 
 BUDGET_ENV_VAR = "SPARSECOMBINE_BUDGET"
 
@@ -461,6 +463,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget guard: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # Point fd 1 at devnull, so the interpreter's final flush of stdout
+        # stays silent, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, MemoryError) as exc:
         # A bare MemoryError carries no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -245,7 +245,9 @@ class _Band(NamedTuple):
     Every level l with n <= |l|_1 <= top, plus ``offset`` in each direction,
     has coefficient ``table[|l|_1][p]``, p being the number of nonzero entries
     of l before the offset (see ho_plan); levels whose coefficient is zero
-    are left out. The top diagonal is ``len(table) - 1``.
+    are left out. The top diagonal is ``len(table) - 1``. ``terms`` builds
+    the terms for evaluation; ``export_blocks`` renders the export's text
+    straight from the table.
     """
 
     d: int
@@ -310,30 +312,53 @@ class _Band(NamedTuple):
             for v, coeff in closing[t][p]
         }
 
-    def export_texts(self) -> Iterator[str]:
-        """The export text of every term, by diagonal |l|_1 and then level.
+    def export_blocks(self) -> Iterator[str]:
+        """The export texts of the plan's terms, by diagonal |l|_1 and then
+        level: one string per (diagonal, prefix of the first d - J levels)
+        that has terms, its terms joined by ",\n", J being d//2 + 1.
 
-        On diagonal t every prefix with |prefix|_1 <= t, in lexicographic
-        order, is closed by the last level t - |prefix|_1 unless that cell's
-        coefficient is zero. A prefix's text is rendered once, and a closing
-        text once per diagonal and (|prefix|_1, count).
+        The prefix texts are rendered once, as parallel lists of text,
+        |.|_1 and nonzero count. On each diagonal the texts of the last J
+        levels, closed by their coefficient, are rendered once per (levels
+        left, remaining |.|_1, nonzero count so far) and leave out every
+        level whose coefficient is zero, so a term costs one str.join step.
         """
         d, n, table, s = self
         top = len(table) - 1
-        head = '    {\n      "levels": [\n        '
+        split = d // 2 + 1
         pieces = [f"{v + s},\n        " for v in range(top + 1)]
-        # k = |prefix|_1 * d + count indexes a diagonal's closing texts.
-        walk = [(text, t * d + p) for text, t, p in self.prefixes(head, pieces)]
+        texts, sums, counts = ['    {\n      "levels": [\n        '], [0], [0]
+        for _ in range(d - split):
+            ranges = [range(top - t + 1) for t in sums]
+            texts = [x + pieces[v] for x, vs in zip(texts, ranges) for v in vs]
+            counts = [p + (v > 0) for p, vs in zip(counts, ranges) for v in vs]
+            sums = [t + v for t, vs in zip(sums, ranges) for v in vs]
         for t in range(n, top + 1):
-            ends = [
-                f'{t - tp + s}\n      ],\n      "coeff": "{c.numerator}/{c.denominator}"\n    }}'
-                if (c := table[t][p + (tp < t)])
-                else ""
-                for tp in range(t + 1)
-                for p in range(d)
-            ]
-            limit = len(ends)
-            yield from (text + end for text, k in walk if k < limit and (end := ends[k]))
+            row = table[t]
+            memo: dict[tuple[int, int, int], list[str]] = {}
+
+            def suffixes(k: int, r: int, p: int) -> list[str]:
+                # The texts of the last k levels with |.|_1 = r after p
+                # nonzero levels.
+                key = (k, r, p)
+                if key not in memo:
+                    if k > 1:
+                        memo[key] = [
+                            pieces[v] + x
+                            for v in range(r + 1)
+                            for x in suffixes(k - 1, r - v, p + (v > 0))
+                        ]
+                    elif c := row[p + (r > 0)]:
+                        memo[key] = [
+                            f'{r + s}\n      ],\n      "coeff": "{c.numerator}/{c.denominator}"\n    }}'
+                        ]
+                    else:
+                        memo[key] = []
+                return memo[key]
+
+            for x, tp, p in zip(texts, sums, counts):
+                if tp <= t and (ends := suffixes(split, t - tp, p)):
+                    yield x + (",\n" + x).join(ends)
 
 
 def _band(d: int, n: int, step: Sequence[int], denominator: int, label: str) -> CombinationPlan:
@@ -458,19 +483,20 @@ def plan_to_dict(plan: CombinationPlan, n: Optional[int] = None) -> dict:
     return payload
 
 
-# Terms rendered per write of the plan export.
-_EXPORT_CHUNK_TERMS = 512
+# Characters of term text gathered per write of the plan export.
+_EXPORT_CHUNK_CHARS = 1 << 16
 
 
 def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None) -> None:
     """Write the bytes of ``json.dump(plan_to_dict(plan, n), out, indent=2)``
     and a newline.
 
-    A band plan's terms are rendered from its class table, one diagonal
-    after another, without building the plan's terms, in chunks of a
-    bounded number of terms, so no dict per term is built and the text is
-    never joined into one string (with an indent, ``json.dump`` runs its
-    pure-Python encoder at one write per token). ``json`` lays out
+    A band plan's terms are rendered from its class table by
+    ``_Band.export_blocks``, without building the plan's terms, and written
+    in chunks of about ``_EXPORT_CHUNK_CHARS`` characters (a chunk ends
+    with the block that reaches it), so no dict per term is built and the
+    text is never joined into one string (with an indent, ``json.dump``
+    runs its pure-Python encoder at one write per token). ``json`` lays out
     everything else (label escaping included); the first '"terms": []' in
     its text is the key, because a quote inside an encoded string is always
     escaped. Any other plan is written by exactly that ``json.dump``.
@@ -480,14 +506,18 @@ def write_plan_json(plan: CombinationPlan, out: TextIO, n: Optional[int] = None)
         out.write("\n")
         return
     masses = per_level_mass(plan)
-    texts = plan._band.export_texts()
     fields = _export_fields(plan, n, masses)
     head, _, tail = json.dumps(fields, indent=2).partition('"terms": []')
-    out.write(head + '"terms": [')
-    sep = "\n"
-    while chunk := list(islice(texts, _EXPORT_CHUNK_TERMS)):
-        out.write(sep + ",\n".join(chunk))
-        sep = ",\n"
+    out.write(head + ('"terms": [\n' if masses else '"terms": ['))
+    chunk, size = [], 0
+    for block in plan._band.export_blocks():
+        chunk.append(block)
+        size += len(block)
+        if size >= _EXPORT_CHUNK_CHARS:
+            out.write(",\n".join(chunk))
+            # The join of the next chunk starts with the separator.
+            chunk, size = [""], 0
+    out.write(",\n".join(chunk))
     out.write(("\n  ]" if masses else "]") + tail + "\n")
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -421,6 +422,25 @@ def cancelled_band():
     return plan
 
 
+# Made-up step polynomials (see combine._band) whose tables have zero cells
+# inside a diagonal: (1 + x)**2 / 4 and 1 - x**2, e.g. c(3, 1) at d = 3,
+# n = 2 for the first and c(6, 3) for the second.
+MADE_UP_STEPS = {"square": ((1, 2, 1), 4), "difference": ((1, 0, -1), 1)}
+
+
+def made_up_band(kind, d, n):
+    plan = _band(d, n, *MADE_UP_STEPS[kind], kind)
+    # Some diagonal holds terms and a class left out for its zero coefficient.
+    band = plan._band
+    live = {(t, p) for t, p, _, _ in band.classes()}
+    assert any(
+        (t, p) not in live and any(t == u for u, _ in live)
+        for t in range(n, len(band.table))
+        for p in range(1, min(t, d) + 1)
+    )
+    return plan
+
+
 @pytest.mark.parametrize("kind, d, n, shifts", [
     *(("standard", d, n, 0) for d in range(1, 7) for n in range(8)),
     *(("ho", d, n, 0) for d in range(1, 7) for n in range(1, 8)),
@@ -430,10 +450,18 @@ def cancelled_band():
     ("ho", 3, 2, 2),
     ("cancelled", 2, 1, 0),
     ("cancelled", 2, 1, 1),
+    *(("ho", 7, n, 0) for n in (1, 2)),
+    *(("standard", 8, n, 0) for n in range(3)),
+    *((kind, d, n, 2) for kind, d, n in (("standard", 4, 0), ("ho", 4, 2), ("ho", 5, 1),
+                                          ("standard", 7, 2))),
+    *((kind, d, n, 0) for kind in MADE_UP_STEPS for d in range(3, 6) for n in (1, 2)),
+    *((kind, d, 2, 1) for kind in MADE_UP_STEPS for d in (3, 5)),
 ])
 def test_band_plan_writer_matches_reference(kind, d, n, shifts):
     if kind == "cancelled":
         plan = cancelled_band()
+    elif kind in MADE_UP_STEPS:
+        plan = made_up_band(kind, d, n)
     else:
         plan = (ho_plan if kind == "ho" else standard_plan)(d, n)
     for _ in range(shifts):
@@ -441,6 +469,27 @@ def test_band_plan_writer_matches_reference(kind, d, n, shifts):
     buf = io.StringIO()
     write_plan_json(plan, buf, n=n)
     assert buf.getvalue() == reference_plan_json(plan, n)
+
+
+def test_band_plan_export_memory_bounded():
+    # The 6.5 MB export of standard_plan(8, 3) is rendered in blocks and
+    # written in bounded chunks, never held whole. Measured peak: 1.3 MB.
+    class Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    plan, sink = standard_plan(8, 3), Sink()
+    plan.term_count()
+    tracemalloc.start()
+    try:
+        write_plan_json(plan, sink, n=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 6_497_977
+    assert peak < sink.chars / 4
 
 
 def test_band_plan_export_leaves_terms_unbuilt():
@@ -472,13 +521,36 @@ def run_fresh_python(code):
     """stdout of ``code`` run in a fresh interpreter that imports this package:
     in the test process, test modules and plugins have loaded numpy and
     maybe scipy already."""
-    src = str(Path(sparsecombine.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(),
+        check=True,
     )
     return proc.stdout
+
+
+def fresh_env():
+    # The environment with this package's source first on PYTHONPATH.
+    src = str(Path(sparsecombine.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_plan_into_closed_pipe_exits_141_silently():
+    # The reader closes the pipe after a few bytes, as `| head -c 100` does:
+    # the process exits 141 (128 + SIGPIPE) and prints nothing to stderr,
+    # neither an error message nor the ignored exception of the final flush.
+    with subprocess.Popen(
+        [sys.executable, "-m", "sparsecombine.cli", "plan", "--kind", "standard",
+         "--dim", "8", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+    ) as proc:
+        try:
+            assert proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_plan_and_verify_do_not_import_scipy():
