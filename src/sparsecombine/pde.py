@@ -35,13 +35,20 @@ broadcast of the fold over the first d-1 directions with the last, in the
 fold's association order; the quotient overwrites the denominator. Every
 sine transform, forward (sampled data) or inverse, runs through one routine
 (``_transforms``): a direct stage is a matmul into the free buffer, an FFT
-stage an unscaled DST-I in place, its 1/2 folded into the denominator's
-power of two 2**(|l|_1 - d + FFT stages), which scales every rounding
-exactly. So the values keep the bits of ``sine_transform`` applied to a new
-array at every stage, while no stage allocates an array as large as the
-grid: a fold over d-1 directions is at most a third of it (a last direction
-with one node is applied in place), and sampled data is copied, never
-written.
+stage an unscaled DST-I in place, its 1/2 folded with the inverse
+transforms' factors into one power of two 2**-(|l|_1 - d + FFT stages) on c
+(or on the quotient of sampled data), which scales every rounding exactly.
+So the values keep the bits of ``sine_transform`` applied to a new array at
+every stage, while no stage allocates an array as large as the grid: a fold
+over d-1 directions is at most a third of it (a last direction with one
+node is applied in place), the DST-I works through chunks of lines
+(``_FFT_CHUNK_ENTRIES``), and sampled data is copied, never written.
+
+The DST-I (``_dst1``) is the one pocketfft computes, run through numpy's
+own pocketfft (``numpy.fft.rfft``, numpy >= 2.0 for its ``out=`` and its
+``np.longdouble`` transforms), with scipy's bits. numpy is the one runtime
+dependency: a solve does not import ``scipy.fft``, which loads
+``scipy.special`` (about 27 MiB and 0.35 s).
 
 The workspace also keeps the last FFT-path grid's nodal array (a view of a
 buffer). The level with the first two directions swapped, solved next for
@@ -83,6 +90,10 @@ DIRECT_TRANSFORM_MAX = 64
 # sine weight blocks of at most _TABLE_ENTRIES entries in all.
 _CHUNK_ENTRIES = 2 ** 14
 _TABLE_ENTRIES = 64 * _CHUNK_ENTRIES
+
+# The FFT-path lines of one chunk hold about _FFT_CHUNK_ENTRIES entries once
+# extended for their DST-I (or one line when that is longer).
+_FFT_CHUNK_ENTRIES = 2 ** 15
 
 
 class DegenerateGridError(ValueError):
@@ -192,20 +203,25 @@ def _outer(op, vectors: list[np.ndarray]) -> np.ndarray:
 
 
 def _outer_into(op, vectors: list[np.ndarray], out: np.ndarray) -> None:
-    """Write :func:`_outer` of ``vectors`` into the C-contiguous ``out``: the
+    """Write :func:`_outer` of ``vectors`` into ``out``, in any layout: the
     fold of all but the last vector, then one broadcast with the last. The
     association order is the fold's, so every entry has the same bits. Only
-    that fold over the first d-1 directions is allocated, and not even that
-    when the last vector has one entry: the fold is then written into ``out``
-    and the last entry applied in place."""
+    that fold over the first d-1 directions is allocated, laid out as
+    ``out``'s first d-1 axes so that the broadcast reads it in order, and not
+    even that when the last vector has one entry: the fold is then written
+    into ``out`` and the last entry applied in place."""
     *head, last = vectors
     if not head:
         np.copyto(out, last)
     elif len(last) == 1:
-        _outer_into(op, head, out.reshape(out.shape[:-1]))
+        _outer_into(op, head, out[..., 0])
         op(out, last, out=out)
     else:
-        op((_outer(op, head) if len(head) > 1 else head[0])[..., None], last, out=out)
+        fold = head[0]
+        if len(head) > 1:
+            fold = np.empty_like(out[..., 0])
+            _outer_into(op, head, fold)
+        op(fold[..., None], last, out=out)
 
 
 # pi as the sum of two doubles: the float64 pi and its rounding error.
@@ -295,12 +311,10 @@ def _sine_matrix(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scipy_fft():
-    # Imported at the first FFT-path transform, so plans and identity checks
-    # never load scipy.
-    import scipy.fft
-
-    return scipy.fft
+def _rfft():
+    # numpy.fft is imported at the first FFT-path transform, so plans and
+    # identity checks never load it.
+    return np.fft.rfft
 
 
 @lru_cache(maxsize=None)
@@ -317,11 +331,61 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     """Forward discrete sine transform along ``axis``.
 
     out[..., k, ...] = sum_j a[..., j, ...] * sin((j+1)(k+1) pi / (m+1)).
-    Small sizes use the direct matrix, larger ones the FFT-based transform.
+    Small sizes use the direct matrix, larger ones the FFT-based transform
+    (:func:`_dst1`, with the bits of 0.5 * ``scipy.fft.dst(a, type=1)``).
     """
     if a.shape[axis] <= DIRECT_TRANSFORM_MAX:
         return _direct_transform(a, axis)
-    return 0.5 * _scipy_fft().dst(a, type=1, axis=axis)
+    out = np.array(a, dtype=np.result_type(a, 1.0), order="C")
+    _dst1(out, axis)
+    out *= 0.5
+    return out
+
+
+def _lines(x: np.ndarray, axis: int) -> Optional[np.ndarray]:
+    # x as an (I, m, J) view holding x's lines along ``axis`` as [i, :, j]:
+    # one row of unit-stride lines (I = 1) when ``axis`` is x's last in
+    # memory, else C-ordered x's. None for any other layout.
+    m = x.shape[axis]
+    moved = x.transpose(_axis_order(x.ndim, axis, -1))
+    if moved.flags.c_contiguous:
+        return moved.reshape(1, -1, m).transpose(0, 2, 1)
+    if x.flags.c_contiguous:
+        return x.reshape(math.prod(x.shape[:axis]), m, -1)
+    return None
+
+
+def _dst1(x: np.ndarray, axis: int, work: Optional[_Workspace] = None) -> None:
+    """Unscaled DST-I of ``x`` along ``axis``, in place, as pocketfft computes
+    it: a line y of m entries becomes -Im(rfft([0, y, 0, -y reversed]))[1:m+1].
+
+    ``x`` is C-ordered or has ``axis`` last in memory (:func:`_lines`). Its
+    lines are copied in chunks of about ``_FFT_CHUNK_ENTRIES`` entries (or
+    one line) into a real and a complex array, ``work``'s float64 ones when
+    given, and numpy's pocketfft transforms each line on its own, in
+    ``x``'s precision. So a line's bits depend neither on the layout nor on
+    the chunk, and match ``scipy.fft.dst(type=1)``, which runs the same code.
+    """
+    view = _lines(x, axis)
+    count, m, width = view.shape
+    n = 2 * m + 2
+    rows = max(1, _FFT_CHUNK_ENTRIES // n)
+    if work is not None and x.dtype == np.float64:
+        ext, spec = work.fft_buffers(rows, n)
+    else:
+        ext = np.empty((rows, n), x.dtype)
+        spec = np.empty((rows, m + 2), np.result_type(x.dtype, 1j))
+    ext[:, :: m + 1] = 0.0  # columns 0 and m + 1
+    body, tail, coefficients = ext[:, 1 : m + 1], ext[:, : m + 1 : -1], spec.imag[:, 1 : m + 1]
+    rfft = _rfft()
+    for i in range(count):
+        for s in range(0, width, rows):
+            block = view[i, :, s : s + rows].T
+            r = len(block)
+            np.copyto(body[:r], block)
+            np.negative(body[:r], out=tail[:r])
+            rfft(ext[:r], out=spec[:r])
+            np.negative(coefficients[:r], out=block)
 
 
 def _direct_transform(a: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -353,21 +417,24 @@ def _factor_coefficients(
 ) -> np.ndarray:
     """The sine transform of p's factor g_j at direction j of ``level``, as
     :func:`sine_transform` defines it (0.5 DST-I), computed in
-    ``np.longdouble`` and rounded once to float64; a level-1 direction is not
-    transformed. Read-only, and kept in ``factors`` per (direction, level
-    value), so its bits do not depend on what the cache held before."""
+    ``np.longdouble`` by numpy's pocketfft (:func:`_dst1`; numpy >= 2.0
+    transforms ``np.longdouble`` natively) and rounded once to float64; a
+    level-1 direction is not transformed. Read-only, and kept in
+    ``factors`` per (direction, level value), so its bits do not depend on
+    what the cache held before."""
     key = (j, level[j])
     out = factors.get(key)
     if out is None:
         m = 2 ** level[j] - 1
-        work = np.asarray(p.rhs_factors[1](j, level[j]), dtype=np.longdouble)
+        work = np.array(p.rhs_factors[1](j, level[j]), dtype=np.longdouble)
         if work.shape != (m,):
             raise ValueError(
                 f"rhs_factors returned shape {work.shape} for direction {j} "
                 f"of level {tuple(level)}, expected {(m,)}"
             )
         if m > 1:
-            work = 0.5 * _scipy_fft().dst(work, type=1)
+            _dst1(work, 0)
+            work *= 0.5
         out = factors[key] = work.astype(np.float64)
         out.setflags(write=False)
     return out
@@ -386,7 +453,9 @@ class _Workspace:
 
     The buffers grow to exactly the size reserved, and only when a larger
     grid comes, so they hold at most two copies of the largest grid. What
-    :meth:`buffers` returns is overwritten by the next grid.
+    :meth:`buffers` returns is overwritten by the next grid. The FFT stages
+    reuse a real and a complex chunk buffer (:meth:`fft_buffers`), about
+    ``_FFT_CHUNK_ENTRIES`` entries each or one extended line.
 
     ``last`` is (level, problem, nodal array) of the last grid solved, its
     nodal array being a view of a buffer, when that grid took the FFT path,
@@ -399,6 +468,7 @@ class _Workspace:
         self.last: Optional[tuple[LevelIndex, ProblemSpec, np.ndarray]] = None
         self._pair: tuple = ()
         self._size = 0
+        self._fft: tuple = (np.empty(0), np.empty(0, complex))
 
     def reserve(self, size: int) -> None:
         if size > self._size:
@@ -407,11 +477,27 @@ class _Workspace:
             self._pair = (np.empty(size), np.empty(size))
             self._size = size
 
-    def buffers(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Two C-contiguous arrays of ``shape`` that share no memory."""
+    def buffers(
+        self, shape: tuple[int, ...], last: Optional[int] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two arrays of ``shape`` that share no memory, C-ordered, or with
+        axis ``last`` last in memory when given."""
         size = math.prod(shape)
         self.reserve(size)
-        return tuple(buf[:size].reshape(shape) for buf in self._pair)
+        if last is None:
+            return tuple(buf[:size].reshape(shape) for buf in self._pair)
+        order = _axis_order(len(shape), last, -1)
+        laid = tuple(shape[j] for j in order)
+        back = _axis_order(len(shape), -1, last)
+        return tuple(buf[:size].reshape(laid).transpose(back) for buf in self._pair)
+
+    def fft_buffers(self, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """A real (rows, n) and a complex (rows, n // 2 + 1) array for
+        :func:`_dst1`, grown to the largest chunk asked for."""
+        real, spec = self._fft
+        if real.size < rows * n or spec.size < rows * (n // 2 + 1):
+            real, spec = self._fft = np.empty(rows * n), np.empty(rows * (n // 2 + 1), complex)
+        return real[: rows * n].reshape(rows, n), spec[: rows * (n // 2 + 1)].reshape(rows, -1)
 
 
 def _uses_fft(m: int) -> bool:
@@ -419,19 +505,22 @@ def _uses_fft(m: int) -> bool:
     return m > DIRECT_TRANSFORM_MAX
 
 
-def _transforms(a: np.ndarray, axes, held: np.ndarray, free: np.ndarray, owned: bool):
+def _transforms(
+    a: np.ndarray, axes, held: np.ndarray, free: np.ndarray, owned: bool, work: _Workspace
+):
     """:func:`sine_transform` of ``a`` along each of ``axes`` without the 1/2
-    of its FFT path, in the C-ordered buffers ``held`` and ``free`` of a's
-    shape; ``a`` is a view of ``held`` when ``owned``, else never written.
-    Returns the transform, the buffer holding it (``held`` if no stage ran)
-    and the other one.
+    of its FFT path, in the buffers ``held`` and ``free`` of a's shape,
+    C-ordered or with the one FFT axis last in memory; ``a`` is a view of
+    ``held`` when ``owned``, else never written. Returns the transform, the
+    buffer holding it (``held`` if no stage ran) and the other one.
 
     Directions with one node (a 1x1 identity) are skipped. A direct stage
     writes its product into the free buffer, laid out as a new product array
-    (:func:`_direct_transform`); an FFT stage runs the DST-I in place on a
-    C-ordered buffer, copying its input into the free one unless it owns it
-    in C order. So every stage has the layout of sine_transform's new array
-    and, up to a power of two, its bits.
+    (:func:`_direct_transform`); an FFT stage runs the DST-I in place
+    (:func:`_dst1`, in ``work``'s chunk buffers), copying its input into the
+    free one unless it owns it C-ordered or with the axis last in memory. So
+    every direct stage reads the layout that sine_transform's new arrays
+    would give it, and every stage has, up to a power of two, their bits.
     """
     for axis in axes:
         m = a.shape[axis]
@@ -441,10 +530,10 @@ def _transforms(a: np.ndarray, axes, held: np.ndarray, free: np.ndarray, owned: 
             a = _direct_transform(a, axis, out=free)
             held, free = free, held
         else:
-            if not (owned and a.flags.c_contiguous):
+            if not owned or _lines(a, axis) is None:
                 np.copyto(free, a)
                 a, held, free = free, free, held
-            a = _scipy_fft().dst(a, type=1, axis=axis, overwrite_x=True)
+            _dst1(a, axis, work)
         owned = True
     return a, held, free
 
@@ -463,24 +552,35 @@ def _solve_along(
     eigenvalues are formed in the buffer that does not hold them, the
     quotient overwrites them and is transformed along ``axes``. The factors
     2**(1-l) of the inverse transforms and the 1/2 of every FFT stage make
-    one power of two on the denominator, 2**(|l|_1 - d + FFT stages), which
-    scales every rounding exactly (barring underflow to subnormals).
+    one power of two, 2**-(|l|_1 - d + FFT stages), which scales every
+    rounding exactly (barring underflow to subnormals): it is folded into c,
+    or for sampled data applied to the quotient.
+
+    A lone FFT-path inverse transform (separable data, one of ``axes``) runs
+    on buffers laid out with that direction last in memory, so its lines are
+    contiguous; the folds and the division do not depend on the layout.
     """
-    held, free = work.buffers(tuple(2 ** v - 1 for v in level))
+    shape = tuple(2 ** v - 1 for v in level)
+    fft = [j for j in range(level.dim) if _uses_fft(shape[j])]
     if p.rhs_factors is not None:
+        last = axes[0] if len(axes) == 1 and axes[0] in fft else None
+        held, free = work.buffers(shape, last)
         factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
         _outer_into(np.multiply, factors, held)
-        held *= p.rhs_factors[0]
-        numer, stages = held, list(axes)
+        numer, stages, c = held, axes, p.rhs_factors[0]
     else:
+        held, free = work.buffers(shape)
         f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
-        numer, held, free = _transforms(f_int, range(level.dim), held, free, False)
-        stages = [*range(level.dim), *axes]
-    halves = sum(_uses_fft(held.shape[j]) for j in stages)
-    scale = 2.0 ** (sum(level) - level.dim + halves)
-    _outer_into(np.add, [scale * _eigenvalues_1d(v) for v in level], free)
+        numer, held, free = _transforms(f_int, range(level.dim), held, free, False, work)
+        stages, c = [*range(level.dim), *axes], None
+    scale = 2.0 ** -(sum(level) - level.dim + sum(j in fft for j in stages))
+    if c is not None:
+        numer *= c * scale
+    _outer_into(np.add, [_eigenvalues_1d(v) for v in level], free)
     np.divide(numer, free, out=free)
-    return _transforms(free, axes, free, held, True)[0]
+    if c is None:
+        free *= scale
+    return _transforms(free, axes, free, held, True, work)[0]
 
 
 def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -652,20 +752,21 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
     max-norm interior residual is measured when first read (``solve_seconds``
     does not include it). The solve is :func:`_solve_along` with the inverse
     transforms along every direction, in the two buffers of a fresh
-    workspace: a direct method, exact up to rounding, so re-solving against
-    the measured residual cannot improve the stored solution and is never
-    attempted. The reported residual is the honestly measured value; note
-    that evaluating the stencil in float64 scales nodal
-    values by h_k^-2 before cancellation, so on strongly anisotropic grids
+    workspace, its FFT stages numpy's (scipy is not imported): a direct
+    method, exact up to rounding, so re-solving against the measured
+    residual cannot improve the stored solution and is never attempted. The
+    reported residual is the honestly measured value; note that evaluating
+    the stencil in float64 scales nodal values by h_k^-2 before
+    cancellation, so on strongly anisotropic grids
     (max l_j >= ~12) the measurement itself saturates near
     eps * sum_k h_k^-2 * (1 + max|u_h|) even though the solution is accurate.
     """
     level = _solvable_level(p, l)
-    # scipy.fft is loaded before the clock starts, so that a process's first
+    # numpy.fft is loaded before the clock starts, so that a process's first
     # solve does not time its import: for separable data's factor transforms
     # and for FFT-path stages.
     if any(_uses_fft(2 ** v - 1) or (p.rhs_factors is not None and v > 1) for v in level):
-        _scipy_fft()
+        _rfft()
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
     interior = _solve_along(p, level, _Workspace(), range(level.dim), f_int)

@@ -555,16 +555,23 @@ def test_plan_into_closed_pipe_exits_141_silently():
 
 def test_plan_and_verify_do_not_import_scipy():
     # Nor numpy: the name is bound lazily, so no numpy.* submodule loads.
+    # study and solve, FFT path included, load numpy.fft and still no scipy.
     code = (
         "import contextlib, io, sys\n"
         "from sparsecombine.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['plan', '--dim', '2', '--n', '2']),"
         " main(['verify', '--d-max', '2'])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, scipy_modules())\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['study', '--method', 'HOSG', '--dim', '3', '--n-min', '2',"
+        " '--n-max', '4']), main(['solve', '--dim', '2', '--level', '8,3'])]\n"
+        "print(codes, scipy_modules(), 'numpy.fft' in sys.modules)\n"
     )
-    assert run_fresh_python(code) == "[0, 0] []\n[]\n"
+    assert run_fresh_python(code) == "[0, 0] []\n[]\n[0, 0] [] True\n"
 
 
 def _untimed(text):

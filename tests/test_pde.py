@@ -122,10 +122,117 @@ def test_direct_and_fft_paths_agree():
         v = rng.standard_normal(m)
         direct = pde._sine_matrix(m) @ v
         np.testing.assert_allclose(sine_transform(v, axis=0), direct, atol=1e-12)
-        import scipy.fft
-
-        fft_way = 0.5 * scipy.fft.dst(v, type=1)
+        fft_way = 0.5 * _scipy_dst1(v)
         np.testing.assert_allclose(sine_transform(v, axis=0), fft_way, atol=1e-11)
+
+
+def _scipy_dst1(a, axis=-1):
+    # The reference DST-I: scipy's pocketfft, used by the tests only.
+    import scipy.fft
+
+    return scipy.fft.dst(a, type=1, axis=axis)
+
+
+@pytest.mark.parametrize("chunk", [None, 96])
+@pytest.mark.parametrize("v", range(1, 13))
+def test_dst1_matches_scipy_bits(v, chunk, monkeypatch):
+    # The numpy DST-I has scipy's bits along every axis of 3-D arrays, C-ordered
+    # (strided lines) and laid out with the axis last in memory (unit-stride
+    # lines), in fresh and in a workspace's reused chunk buffers (left full of
+    # NaNs by earlier use), with chunks of a few lines or of part of one
+    # (chunk = 96 entries), and for data with signed zeros.
+    if chunk is not None:
+        monkeypatch.setattr(pde, "_FFT_CHUNK_ENTRIES", chunk)
+    m = 2 ** v - 1
+    rng = np.random.default_rng(v)
+    work = _Workspace()
+    for axis in range(3):
+        shape = [3, 5, 4]
+        shape[axis] = m
+        a = rng.standard_normal(shape)
+        a.flat[::7] = 0.0
+        a.flat[::11] = -0.0
+        want = _scipy_dst1(a, axis).tobytes()
+        for layout in ("C", "last"):
+            for scratch in (None, work):
+                x = a.copy()
+                if layout == "last":
+                    x = np.moveaxis(np.moveaxis(a, axis, -1).copy(), -1, axis)
+                work.fft_buffers(max(1, pde._FFT_CHUNK_ENTRIES // (2 * m + 2)), 2 * m + 2)
+                for buf in work._fft:
+                    buf.fill(np.nan)
+                pde._dst1(x, axis, scratch)
+                assert np.ascontiguousarray(x).tobytes() == want, (axis, layout, scratch)
+        if m > DIRECT_TRANSFORM_MAX:
+            assert sine_transform(a, axis).tobytes() == (0.5 * _scipy_dst1(a, axis)).tobytes()
+
+
+def _scipy_factor_coefficients(g):
+    # 0.5 DST-I of a factor in np.longdouble, rounded once, through scipy.
+    work = np.array(g, dtype=np.longdouble)
+    if len(work) > 1:
+        work = 0.5 * _scipy_dst1(work)
+    return work.astype(np.float64)
+
+
+def test_factor_transforms_match_scipy_bits():
+    # The longdouble factor transforms, rounded to float64, have the bits of
+    # scipy's: the built-in sines at levels 1..20 and the test problems'
+    # random factors.
+    builtin = builtin_sine_problem(1)
+    for v in range(1, 21):
+        got = _factor_coefficients(builtin, 0, LevelIndex((v,)), {})
+        want = _scipy_factor_coefficients(builtin.rhs_factors[1](0, v))
+        assert got.tobytes() == want.tobytes(), v
+    for d in (1, 2, 3, 4):
+        p = _separable_problems(d, 100 + d)[0]
+        level = LevelIndex([1 + (j * 5 + d) % 13 for j in range(d)])
+        for j in range(d):
+            got = _factor_coefficients(p, j, level, {})
+            want = _scipy_factor_coefficients(p.rhs_factors[1](j, level[j]))
+            assert got.tobytes() == want.tobytes(), (d, j, level)
+
+
+def _dyadic_problem(d):
+    # Sampled data only, f = prod_j x_j (1 - x_j) (1 + 2 x_j): every node
+    # value is exact in float64, so the samples have the same bits anywhere.
+    def g(v):
+        x = np.arange(1, 2 ** v) * 2.0 ** -v
+        return x * (1.0 - x) * (1.0 + 2.0 * x)
+
+    def rhs(x):
+        return math.prod(xj * (1 - xj) * (1 + 2 * xj) for xj in x)
+
+    def rhs_grid(level):
+        return reduce(np.multiply, np.ix_(*[g(v) for v in level]))
+
+    return ProblemSpec(dim=d, rhs=rhs, rhs_grid=rhs_grid)
+
+
+@pytest.mark.parametrize("level, digest, values", [
+    ((7, 8), "b5f28860779c5fe624d0f6a43ea1200c72f8df8505fdbf8569919ef2e0806d75",
+     ["-0x1.19c0f1e2616a6p-7", "-0x1.a6f5e45fda925p-10"]),
+    ((8, 7), "aff891d79911883e53af36869e38d819849053a5c9c9edb258e27581455e35d2",
+     ["-0x1.19c3e641549b2p-7", "-0x1.a6f51b3196619p-10"]),
+    ((7, 7, 7), "d7b18fd91b1bc1771209657d885bef1c9688b52157c296fad2f7ac0ec0ad91c9",
+     ["-0x1.85aa941f69328p-9", "-0x1.219396387370dp-11"]),
+    ((2, 8, 7), "1d41d4c0887e132614c8c963e9e30693d3f175fe9b550b993cad1aa7377078c9",
+     ["-0x1.7789727576f1bp-9", "-0x1.1825f65aa644fp-11"]),
+    ((3, 7, 1, 3), "452d09ea34066447fbf55130c99c66ea8368426db81422e9e8b73ba11a01f5ed",
+     ["-0x1.0ab3c5aee33e3p-11", "-0x1.c9b8000b41244p-13"]),
+])
+def test_sampled_fft_path_golden(level, digest, values):
+    # Sampled data whose forward and inverse transforms take the FFT path
+    # along every direction (or mix it with direct and single-node ones):
+    # the nodal grid's SHA-256 and two point values, as scipy.fft's DST-I
+    # gives them.
+    import hashlib
+
+    p = _dyadic_problem(len(level))
+    u, _ = solve_poisson(p, level)
+    assert hashlib.sha256(u.ndview().tobytes()).hexdigest() == digest
+    pts = np.array([[0.3, 0.71, 0.55, 0.2], [0.125, 0.9, 0.5, 0.6]])[:, : len(level)]
+    assert [float(x).hex() for x in solve_at_points(p, level, pts)] == values
 
 
 def _reference_sine(q, n):
@@ -191,8 +298,8 @@ def test_zero_rhs_gives_zero():
     assert rep.residual_inf == 0.0
 
 
-def test_solve_clock_starts_after_scipy_fft_loads(monkeypatch):
-    # A process's first solve does not time importing scipy.fft: it is
+def test_solve_clock_starts_after_numpy_fft_loads(monkeypatch):
+    # A process's first solve does not time importing numpy.fft: it is
     # loaded when the clock starts for a solve that uses it, one of
     # separable data (its factor transforms) or with an FFT-path direction,
     # and a sampled solve on the direct path leaves it unloaded.
@@ -201,12 +308,12 @@ def test_solve_clock_starts_after_scipy_fft_loads(monkeypatch):
     loaded = []
 
     def perf_counter():
-        loaded.append(pde._scipy_fft.cache_info().currsize)
+        loaded.append(pde._rfft.cache_info().currsize)
         return time.perf_counter()
 
     monkeypatch.setattr(pde, "time", types.SimpleNamespace(perf_counter=perf_counter))
     for p, level, want in ((builtin, (3, 2), 1), (sampled, (7, 2), 1), (sampled, (3, 2), 0)):
-        pde._scipy_fft.cache_clear()
+        pde._rfft.cache_clear()
         loaded.clear()
         solve_poisson(p, level)
         assert loaded == [want, want]
