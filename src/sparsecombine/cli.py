@@ -4,6 +4,9 @@ inspection, and single-grid solves on the built-in benchmark problem.
 Exit codes: 0 ok, 1 verification failure, 2 node budget exceeded, 3 bad
 configuration or usage, or out of memory, 141 (128 + SIGPIPE) the reader of
 the output closed it early, as ``| head`` does.
+
+Each subcommand's flags are the keyword parameters of its ``cmd_*``
+function: ``main`` calls it with the parsed flags.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
 
@@ -46,7 +48,7 @@ from .verify import (
     check_normalization,
 )
 
-__all__ = ["StudyConfig", "cmd_study", "cmd_verify", "cmd_plan", "cmd_solve", "main", "entry"]
+__all__ = ["cmd_study", "cmd_verify", "cmd_plan", "cmd_solve", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -59,45 +61,8 @@ BUDGET_ENV_VAR = "SPARSECOMBINE_BUDGET"
 CSV_FIELDS = ("method", "d", "n", "dof_unique", "dof_total", "value", "surplus", "runtime_s")
 
 
-@dataclass
-class StudyConfig:
-    """Everything one study run needs; mirrors the study subcommand's flags."""
-
-    method: str
-    dim: int
-    n_min: int
-    n_max: int
-    eval_point: Union[str, tuple[float, ...]] = "auto"
-    level_shift: int = 1
-    node_budget: int = DEFAULT_NODE_BUDGET
-    out: str = "-"
-    fmt: str = "csv"
-    seed: int = 1234
-    surplus_points: int = 0
-
-    def resolved_point(self) -> tuple[float, ...]:
-        if self.eval_point == "auto":
-            return default_eval_point(self.dim)
-        return tuple(float(v) for v in self.eval_point)
-
-
 def _fmt_float(v: float) -> str:
     return format(v, ".17g")
-
-
-def _study_metadata(cfg: StudyConfig, problem_name: str) -> dict:
-    return {
-        "method": cfg.method.upper(),
-        "dim": cfg.dim,
-        "n_min": cfg.n_min,
-        "n_max": cfg.n_max,
-        "point": list(cfg.resolved_point()),
-        "level_shift": cfg.level_shift,
-        "node_budget": cfg.node_budget,
-        "seed": cfg.seed,
-        "surplus_points": cfg.surplus_points,
-        "problem": problem_name,
-    }
 
 
 def write_records_csv(
@@ -145,36 +110,66 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8"), True
 
 
-def cmd_study(cfg: StudyConfig, stderr: Optional[TextIO] = None) -> int:
-    """Run one convergence study and write its records; returns the exit code."""
+def cmd_study(
+    method: str,
+    dim: int,
+    n_min: int,
+    n_max: int,
+    point: Optional[Sequence[float]] = None,
+    level_shift: int = 1,
+    budget: Optional[int] = None,
+    fmt: str = "csv",
+    out: str = "-",
+    seed: int = 1234,
+    surplus_points: int = 0,
+    stderr: Optional[TextIO] = None,
+) -> int:
+    """Run one convergence study and write its records; returns the exit code.
+
+    ``point`` defaults to default_eval_point(dim) and ``budget`` to
+    SPARSECOMBINE_BUDGET, else DEFAULT_NODE_BUDGET.
+    """
     err = stderr if stderr is not None else sys.stderr
-    problem = builtin_sine_problem(cfg.dim)
-    metadata = _study_metadata(cfg, problem.name)
+    budget = budget if budget is not None else _default_budget()
+    problem = builtin_sine_problem(dim)
+    point = tuple(map(float, point)) if point is not None else default_eval_point(dim)
+    metadata = {
+        "method": method.upper(),
+        "dim": dim,
+        "n_min": n_min,
+        "n_max": n_max,
+        "point": list(point),
+        "level_shift": level_shift,
+        "node_budget": budget,
+        "seed": seed,
+        "surplus_points": surplus_points,
+        "problem": problem.name,
+    }
 
     # The output is opened (and truncated) before the first solve, as a shell
     # redirect would, so a path that cannot be written fails at once.
-    stream, owned = _open_out(cfg.out)
+    stream, owned = _open_out(out)
     code = EXIT_OK
     try:
         try:
             records = hierarchical_surplus_study(
                 problem,
-                cfg.method,
-                cfg.dim,
-                cfg.n_max,
-                cfg.resolved_point(),
-                n_min=cfg.n_min,
-                level_shift=cfg.level_shift,
-                node_budget=cfg.node_budget,
-                surplus_points=cfg.surplus_points,
-                seed=cfg.seed,
+                method,
+                dim,
+                n_max,
+                point,
+                n_min=n_min,
+                level_shift=level_shift,
+                node_budget=budget,
+                surplus_points=surplus_points,
+                seed=seed,
             )
         except BudgetExceededError as exc:
             records = exc.records
             metadata["budget_exceeded"] = str(exc)
             print(f"budget guard: {exc}", file=err)
             code = EXIT_BUDGET
-        if cfg.fmt == "json":
+        if fmt == "json":
             write_records_json(records, stream, metadata)
         else:
             write_records_csv(records, stream, metadata)
@@ -188,19 +183,20 @@ def cmd_verify(
     d_max: int,
     trials: int = 100,
     seed: int = 0,
-    perturb_alpha1: Optional[Fraction] = None,
+    perturb_alpha1: Union[str, Fraction, None] = None,
     stream: Optional[TextIO] = None,
 ) -> int:
     """Run all identity checks for d = 1..d_max; returns 0 iff everything passes.
 
     The randomized telescoping check runs for d = 1..min(d_max, 8).
-    ``perturb_alpha1`` multiplies the weight alpha_1 by an exact factor before
-    checking, to demonstrate that a corrupted weight set is caught.
+    ``perturb_alpha1`` multiplies the weight alpha_1 by an exact factor (a
+    Fraction or its text, such as "1.0001") before checking, to demonstrate
+    that a corrupted weight set is caught.
     """
     out = stream if stream is not None else sys.stdout
+    factor = None if perturb_alpha1 is None else Fraction(perturb_alpha1)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    factor = None if perturb_alpha1 is None else Fraction(perturb_alpha1)
 
     def weights_for(d: int):
         if factor is None:
@@ -228,7 +224,7 @@ def cmd_verify(
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
+def cmd_plan(dim: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
     """Print the requested plan as JSON with exact fraction coefficients.
 
     A plan with more terms than the node budget raises BudgetExceededError
@@ -236,9 +232,9 @@ def cmd_plan(d: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
     """
     out = stream if stream is not None else sys.stdout
     if kind == "standard":
-        plan = standard_plan(d, n)
+        plan = standard_plan(dim, n)
     elif kind == "ho":
-        plan = ho_plan(d, n)
+        plan = ho_plan(dim, n)
     else:
         raise ValueError(f"unknown plan kind {kind!r}; expected 'standard' or 'ho'")
     budget = _default_budget()
@@ -301,9 +297,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_point(text: str) -> Union[str, tuple[float, ...]]:
+def _parse_point(text: str) -> Optional[tuple[float, ...]]:
+    # "auto" is the default point, which the cmd_* functions take as None.
     if text == "auto":
-        return "auto"
+        return None
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
@@ -359,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--point",
         type=_parse_point,
-        default="auto",
         help="evaluation point 'x1,x2,...' or 'auto' for (0.25, 0.5, ...)",
     )
     study.add_argument(
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a thread count N >= 1 or 'auto'; accepted for compatibility and "
         "ignored (grids are solved on the calling thread)",
     )
-    study.add_argument("--format", choices=("csv", "json"), default="csv")
+    study.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     study.add_argument("--out", default="-", help="output path, '-' for stdout")
     study.add_argument("--seed", type=int, default=1234)
     study.add_argument(
@@ -391,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="if > 0, surplus = max |difference| over this many fixed random points",
     )
-    study.set_defaults(func=_run_study)
+    study.set_defaults(func=cmd_study)
 
     verify = sub.add_parser("verify", help="check the weight identities exactly")
     verify.add_argument("--d-max", type=int, default=10)
@@ -402,64 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="multiply alpha_1 by this exact factor (e.g. 1.0001) to force a failure",
     )
-    verify.set_defaults(func=_run_verify)
+    verify.set_defaults(func=cmd_verify)
 
     plan = sub.add_parser("plan", help="print a combination plan as JSON")
     plan.add_argument("--dim", type=int, required=True)
     plan.add_argument("--n", type=int, required=True)
     plan.add_argument("--kind", choices=("standard", "ho"), default="standard")
-    plan.set_defaults(func=_run_plan)
+    plan.set_defaults(func=cmd_plan)
 
     solve = sub.add_parser("solve", help="solve one grid of the built-in problem")
     solve.add_argument("--dim", type=int, required=True)
     solve.add_argument("--level", type=_parse_levels, required=True, help="levels 'l1,l2,...'")
-    solve.add_argument("--point", type=_parse_point, default="auto")
-    solve.set_defaults(func=_run_solve)
+    solve.add_argument("--point", type=_parse_point)
+    solve.set_defaults(func=cmd_solve)
 
     return parser
 
 
-def _run_study(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    cfg = StudyConfig(
-        method=args.method,
-        dim=args.dim,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        eval_point=args.point,
-        level_shift=args.level_shift,
-        node_budget=budget,
-        out=args.out,
-        fmt=args.format,
-        seed=args.seed,
-        surplus_points=args.surplus_points,
-    )
-    return cmd_study(cfg)
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    factor = None
-    if args.perturb_alpha1 is not None:
-        factor = Fraction(args.perturb_alpha1)
-    return cmd_verify(
-        args.d_max, trials=args.trials, seed=args.seed, perturb_alpha1=factor
-    )
-
-
-def _run_plan(args: argparse.Namespace) -> int:
-    return cmd_plan(args.dim, args.n, args.kind)
-
-
-def _run_solve(args: argparse.Namespace) -> int:
-    point = None if args.point == "auto" else args.point
-    return cmd_solve(args.dim, args.level, point)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    func = flags.pop("func")
+    del flags["command"]
+    flags.pop("parallel", None)  # accepted for compatibility and ignored
     try:
-        return args.func(args)
+        return func(**flags)
     except BudgetExceededError as exc:
         print(f"budget guard: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -269,14 +269,14 @@ class _Band(NamedTuple):
                 if count and coeff:
                     yield t, p, count, coeff
 
-    def prefixes(self, start, pieces: list) -> list[tuple]:
-        """The first d-1 levels of every level in the band in lexicographic
+    def prefixes(self, start, pieces: list, k: int) -> list[tuple]:
+        """The first k levels of every level in the band in lexicographic
         order, each as ``start`` plus one of ``pieces`` per level (``pieces[v]``
         stands for level v), with its |.|_1 and nonzero count before the
         offset."""
         top = len(self.table) - 1
         prefixes = [(start, 0, 0)]
-        for _ in range(self.d - 1):
+        for _ in range(k):
             prefixes = [
                 (x + pieces[v], t + v, p + (v > 0))
                 for x, t, p in prefixes
@@ -308,7 +308,7 @@ class _Band(NamedTuple):
         new = tuple.__new__
         return {
             new(LevelIndex, lv + (v,)): coeff
-            for lv, t, p in self.prefixes((), [(v + s,) for v in range(top + 1)])
+            for lv, t, p in self.prefixes((), [(v + s,) for v in range(top + 1)], d - 1)
             for v, coeff in closing[t][p]
         }
 
@@ -317,22 +317,17 @@ class _Band(NamedTuple):
         level: one string per (diagonal, prefix of the first d - J levels)
         that has terms, its terms joined by ",\n", J being d//2 + 1.
 
-        The prefix texts are rendered once, as parallel lists of text,
-        |.|_1 and nonzero count. On each diagonal the texts of the last J
-        levels, closed by their coefficient, are rendered once per (levels
-        left, remaining |.|_1, nonzero count so far) and leave out every
-        level whose coefficient is zero, so a term costs one str.join step.
+        The prefix texts are rendered once, by ``prefixes``. On each
+        diagonal the texts of the last J levels, closed by their coefficient,
+        are rendered once per (levels left, remaining |.|_1, nonzero count so
+        far) and leave out every level whose coefficient is zero, so a term
+        costs one str.join step.
         """
         d, n, table, s = self
         top = len(table) - 1
         split = d // 2 + 1
         pieces = [f"{v + s},\n        " for v in range(top + 1)]
-        texts, sums, counts = ['    {\n      "levels": [\n        '], [0], [0]
-        for _ in range(d - split):
-            ranges = [range(top - t + 1) for t in sums]
-            texts = [x + pieces[v] for x, vs in zip(texts, ranges) for v in vs]
-            counts = [p + (v > 0) for p, vs in zip(counts, ranges) for v in vs]
-            sums = [t + v for t, vs in zip(sums, ranges) for v in vs]
+        prefixes = self.prefixes('    {\n      "levels": [\n        ', pieces, d - split)
         for t in range(n, top + 1):
             row = table[t]
             memo: dict[tuple[int, int, int], list[str]] = {}
@@ -356,7 +351,7 @@ class _Band(NamedTuple):
                         memo[key] = []
                 return memo[key]
 
-            for x, tp, p in zip(texts, sums, counts):
+            for x, tp, p in prefixes:
                 if tp <= t and (ends := suffixes(split, t - tp, p)):
                     yield x + (",\n" + x).join(ends)
 

@@ -60,6 +60,7 @@ Plan evaluation solves each level right after that partner.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -726,12 +727,9 @@ def _sample_interior_rhs(p: ProblemSpec, level: LevelIndex) -> np.ndarray:
                 f"rhs_grid returned shape {arr.shape}, expected {expected}"
             )
         return arr
-    axes = _interior_axes(level)
     shape = tuple(2 ** v - 1 for v in level)
-    out = np.empty(shape)
-    for idx in np.ndindex(*shape):
-        out[idx] = p.rhs(tuple(axes[j][i] for j, i in enumerate(idx)))
-    return out
+    nodes = itertools.product(*_interior_axes(level))
+    return np.fromiter(map(p.rhs, nodes), np.float64, count=math.prod(shape)).reshape(shape)
 
 
 def _solvable_level(p: ProblemSpec, l) -> LevelIndex:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,7 +21,6 @@ from sparsecombine.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    StudyConfig,
     cmd_plan,
     cmd_solve,
     cmd_study,
@@ -114,6 +114,7 @@ def test_study_json_matches_csv(tmp_path):
             assert jrec["surplus"] == float(crow["surplus"])
 
 
+@pytest.mark.bits
 def test_study_rerun_bit_identical(tmp_path):
     args = ["study", "--method", "SG", "--dim", "3", "--n-min", "2", "--n-max", "4",
             "--parallel", "4"]
@@ -517,6 +518,27 @@ def test_stdout_matches_golden_file(argv, golden, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
+def _mask_runtime(text):
+    # runtime_s is the last column of a CSV record and a key of a JSON record.
+    text = re.sub(r'("runtime_s": )[0-9.e+-]+', r"\1_", text)
+    return re.sub(r",[0-9.e+-]+$", ",_", text, flags=re.M)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("argv, golden", [
+    (["study", "--method", "HOSG", "--dim", "3", "--n-min", "2", "--n-max", "6",
+      "--surplus-points", "8"], "study_hosg_d3_n6_k8.csv"),
+    (["study", "--method", "SG", "--dim", "2", "--n-max", "5", "--format", "json",
+      "--point", "0.3,0.7", "--budget", "999999"], "study_sg_d2_n5.json"),
+])
+def test_study_matches_golden_file(argv, golden, capsys):
+    # A study's output but for runtime_s has the golden bytes.
+    assert run_main(argv) == EXIT_OK
+    want = (DATA / golden).read_text(encoding="utf-8")
+    got = capsys.readouterr().out
+    assert _mask_runtime(got) == _mask_runtime(want)
+
+
 def run_fresh_python(code):
     """stdout of ``code`` run in a fresh interpreter that imports this package:
     in the test process, test modules and plugins have loaded numpy and
@@ -643,6 +665,7 @@ def test_solve_json(capsys):
     assert payload["residual_inf"] < 1e-9
 
 
+@pytest.mark.bits
 def test_solve_matches_golden_file(capsys):
     # A solve's JSON but for solve_seconds, with FFT-path and direct-path
     # directions, has the golden bytes.
@@ -860,18 +883,30 @@ def test_write_csv_float_precision():
     assert float(row[5]) == rec.value
 
 
-def test_study_config_resolution():
-    cfg = StudyConfig(method="SG", dim=3, n_min=1, n_max=2)
-    assert cfg.resolved_point() == (0.25, 0.5, 0.25)
-    cfg2 = StudyConfig(method="SG", dim=2, n_min=1, n_max=2, eval_point=(0.3, 0.7))
-    assert cfg2.resolved_point() == (0.3, 0.7)
+def test_study_config_resolution(capsys):
+    # point=None is the default point; an explicit point is written as given.
+    assert cmd_study("SG", 3, 1, 2) == EXIT_OK
+    assert "# point=[0.25, 0.5, 0.25]\n" in capsys.readouterr().out
+    assert cmd_study("SG", 2, 1, 2, point=(0.3, 0.7)) == EXIT_OK
+    assert "# point=[0.3, 0.7]\n" in capsys.readouterr().out
 
 
 def test_cmd_study_stdout_default(capsys):
-    cfg = StudyConfig(method="FG", dim=1, n_min=3, n_max=4)
-    assert cmd_study(cfg) == EXIT_OK
+    assert cmd_study("FG", 1, 3, 4) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("# method=FG")
+
+
+def test_cmd_study_honours_env_budget(monkeypatch, capsys):
+    # budget=None resolves the budget as the command line does.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+    assert cmd_study("SG", 2, 1, 5) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert "budget is 100" in captured.err
+    lines = captured.out.splitlines()
+    assert "# node_budget=100" in lines
+    assert any(line.startswith("# budget_exceeded=") for line in lines)
+    assert lines[-1] == ",".join(CSV_FIELDS)
 
 
 def test_console_script_installed():

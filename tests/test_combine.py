@@ -483,6 +483,7 @@ def test_projected_dof_hosg_counts_every_refinement_of_every_base_grid(shift):
 # evaluate_plan
 
 
+@pytest.mark.bits
 def test_singleton_plan_matches_direct_solve():
     p = builtin_sine_problem(2)
     x = (0.3, 0.7)
@@ -520,6 +521,7 @@ def _wavy_grid_problem(d, seed):
 _TABLE_MAX_LEVEL = {1: 10, 2: 6, 3: 4, 4: 3}
 
 
+@pytest.mark.bits
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -696,6 +698,7 @@ def test_cache_reuse_and_incremental_dof():
     assert r6b.value == r6.value
 
 
+@pytest.mark.bits
 def test_reduction_bit_identical_across_cache_states():
     p = builtin_sine_problem(2)
     plan = standard_plan(2, 5).shifted(1)
@@ -719,6 +722,7 @@ def test_reduction_bit_identical_across_cache_states():
     assert cold.value == fresh
 
 
+@pytest.mark.bits
 def test_cache_warmed_by_larger_grids_serves_smaller_plan():
     # A cache whose work buffers were sized by a plan of larger grids (FFT
     # path) evaluates a plan of other, smaller grids with the bits of a
@@ -737,6 +741,7 @@ def test_cache_warmed_by_larger_grids_serves_smaller_plan():
         assert cache._work._size == max(lv.interior_count() for lv in large.terms)
 
 
+@pytest.mark.bits
 def test_cache_holding_one_of_each_pair_serves_plan():
     # A cold evaluation solves each level right after its partner (the level
     # with its first two directions swapped), so an FFT-path level that
@@ -1002,6 +1007,7 @@ def test_study_dof_unique_is_incremental():
         assert r.dof_total == node_total_by_terms(plan)
 
 
+@pytest.mark.bits
 def test_study_values_match_direct_evaluation():
     p = builtin_sine_problem(2)
     x = default_eval_point(2)

@@ -162,6 +162,7 @@ def test_eval_dimension_mismatch():
         multilinear_eval(g, (0.5,))
 
 
+@pytest.mark.bits
 @settings(max_examples=40)
 @given(
     st.integers(min_value=1, max_value=4),

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import itertools
 import math
 import time
 import tracemalloc
@@ -209,6 +210,7 @@ def _dyadic_problem(d):
     return ProblemSpec(dim=d, rhs=rhs, rhs_grid=rhs_grid)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("level, digest, values", [
     ((7, 8), "b5f28860779c5fe624d0f6a43ea1200c72f8df8505fdbf8569919ef2e0806d75",
      ["-0x1.19c0f1e2616a6p-7", "-0x1.a6f5e45fda925p-10"]),
@@ -410,19 +412,15 @@ def test_residual_contract_random_levels(levels, seed):
     p = ProblemSpec(dim=d, rhs=rhs)
     u, rep = solve_poisson(p, levels)
     lv = LevelIndex(levels)
-    h = lv.mesh_widths()
-    interior = [
-        (idx, tuple(i * w for i, w in zip(idx, h)))
-        for idx in np.ndindex(*lv.points_per_direction())
-        if all(0 < i < 2 ** v for i, v in zip(idx, lv))
-    ]
-    f_inf = max(abs(rhs(pt)) for _, pt in interior)
+    # f at the interior nodes i * h_j, in C order.
+    axes = [np.arange(1, 2 ** v) * w for v, w in zip(lv, lv.mesh_widths())]
+    f = np.array([rhs(pt) for pt in itertools.product(*axes)])
+    f = f.reshape([a.size for a in axes])
+    f_inf = float(np.abs(f).max())
     assert rep.residual_inf <= 1e-10 * (1.0 + f_inf)
     # Cross-check the reported residual against apply_operator.
-    op = apply_operator(u)
-    worst = 0.0
-    for idx, pt in interior:
-        worst = max(worst, abs(op.ndview()[idx] - rhs(pt)))
+    op = apply_operator(u).ndview()[(slice(1, -1),) * d]
+    worst = float(np.abs(op - f).max())
     assert worst == pytest.approx(rep.residual_inf, rel=1e-9, abs=1e-13)
 
 
@@ -459,6 +457,7 @@ def _probe_points(level, rng):
 _MAX_LEVEL = {1: 11, 2: 7, 3: 4, 4: 3}
 
 
+@pytest.mark.bits
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -487,6 +486,7 @@ def test_point_values_independent_of_point_set(levels, seed):
     assert deviation <= 1e-13 * scale
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("level", [(8, 7), (6, 5, 4)])
 def test_point_values_independent_of_chunking(level):
     # Many points are evaluated a chunk at a time, each chunk's work arrays
@@ -537,6 +537,7 @@ def test_point_values_reject_degenerate_level_and_bad_point():
         solve_at_points(p, (2, 3), (0.5, 1.5))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_high_dimension_matches_assembled_oracle(d):
     # Both outputs of the fast solver, the nodal grid and the point values,
@@ -612,6 +613,7 @@ def test_factored_rhs_matches_sampled(levels, seed):
     np.testing.assert_allclose(v.values, u.values, rtol=0, atol=tol)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_factor_cache_bit_identical(d):
     # A level's values are the same bits whether the factor transforms it
@@ -661,6 +663,7 @@ def _fresh_array_point_values(p, level, pts):
     return _interpolate_nodal(nodal, level, a, _PointTable(_checked_points(pts, level.dim)))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_solve_poisson_bit_identical(d):
     # solve_poisson's nodal grid, every stage of which runs in two buffers
@@ -693,6 +696,7 @@ def test_solve_poisson_bit_identical(d):
             assert u.ndview().tobytes() == want.tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_workspace_reuse_bit_identical(d):
     # Grids solved one after another into one workspace's two buffers, in
@@ -748,6 +752,7 @@ def _solve_counted(p, level, table, work):
     return values, spy.call_count
 
 
+@pytest.mark.bits
 @settings(max_examples=40, deadline=None)
 @given(_fft_levels(), st.integers(min_value=0, max_value=2 ** 31 - 1))
 # The rows of this level's partner, transposed, are summed by np.matmul in
@@ -774,6 +779,7 @@ def test_partner_nodal_array_bit_identical(level, seed):
         assert warm.tobytes() == cold.tobytes()
 
 
+@pytest.mark.bits
 def test_partner_with_other_factors_is_solved():
     # Separable data whose factors differ in directions 0 and 1: a level
     # solved right after its partner is solved itself and matches the
@@ -791,6 +797,7 @@ def test_partner_with_other_factors_is_solved():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * float(np.max(np.abs(ref))))
 
 
+@pytest.mark.bits
 def test_partner_slot_cleared_by_other_solves():
     # Between a level and its partner, a direct-path solve, an FFT-path solve
     # of another problem or grown buffers leave the partner's nodal array
@@ -818,6 +825,7 @@ def test_partner_slot_cleared_by_other_solves():
         assert warm.tobytes() == cold.tobytes()
 
 
+@pytest.mark.bits
 def test_partner_factor_of_wrong_shape_raises():
     # A level solved right after its partner still samples its own factors,
     # so one of the wrong shape raises as in a cold solve.
