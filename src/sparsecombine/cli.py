@@ -122,14 +122,15 @@ def cmd_study(
     out: str = "-",
     seed: int = 1234,
     surplus_points: int = 0,
-    stderr: Optional[TextIO] = None,
 ) -> int:
     """Run one convergence study and write its records; returns the exit code.
 
     ``point`` defaults to default_eval_point(dim) and ``budget`` to
-    SPARSECOMBINE_BUDGET, else DEFAULT_NODE_BUDGET.
+    SPARSECOMBINE_BUDGET, else DEFAULT_NODE_BUDGET. ``fmt`` is "csv" or
+    "json"; any other value raises ValueError before the output is opened.
     """
-    err = stderr if stderr is not None else sys.stderr
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
     budget = budget if budget is not None else _default_budget()
     problem = builtin_sine_problem(dim)
     point = tuple(map(float, point)) if point is not None else default_eval_point(dim)
@@ -167,7 +168,7 @@ def cmd_study(
         except BudgetExceededError as exc:
             records = exc.records
             metadata["budget_exceeded"] = str(exc)
-            print(f"budget guard: {exc}", file=err)
+            print(f"budget guard: {exc}", file=sys.stderr)
             code = EXIT_BUDGET
         if fmt == "json":
             write_records_json(records, stream, metadata)
@@ -184,7 +185,6 @@ def cmd_verify(
     trials: int = 100,
     seed: int = 0,
     perturb_alpha1: Union[str, Fraction, None] = None,
-    stream: Optional[TextIO] = None,
 ) -> int:
     """Run all identity checks for d = 1..d_max; returns 0 iff everything passes.
 
@@ -193,7 +193,6 @@ def cmd_verify(
     Fraction or its text, such as "1.0001") before checking, to demonstrate
     that a corrupted weight set is caught.
     """
-    out = stream if stream is not None else sys.stdout
     factor = None if perturb_alpha1 is None else Fraction(perturb_alpha1)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -212,25 +211,23 @@ def cmd_verify(
     for d in range(1, min(d_max, 8) + 1):
         reports.append(check_lemma_cancel(d, trials=trials, seed=seed, weights=weights_for(d)))
 
-    print(f"{'identity':<20} {'d':<5} {'defect':<14} status", file=out)
+    print(f"{'identity':<20} {'d':<5} {'defect':<14} status")
     for report in reports:
-        print(str(report), file=out)
+        print(str(report))
     failed = [r for r in reports if not r.passed]
     print(
         f"{len(reports) - len(failed)}/{len(reports)} checks passed"
-        + (f" ({len(failed)} FAILED)" if failed else ""),
-        file=out,
+        + (f" ({len(failed)} FAILED)" if failed else "")
     )
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def cmd_plan(dim: int, n: int, kind: str, stream: Optional[TextIO] = None) -> int:
+def cmd_plan(dim: int, n: int, kind: str) -> int:
     """Print the requested plan as JSON with exact fraction coefficients.
 
     A plan with more terms than the node budget raises BudgetExceededError
     before anything is written.
     """
-    out = stream if stream is not None else sys.stdout
     if kind == "standard":
         plan = standard_plan(dim, n)
     elif kind == "ho":
@@ -245,7 +242,7 @@ def cmd_plan(dim: int, n: int, kind: str, stream: Optional[TextIO] = None) -> in
             projected=terms,
             budget=budget,
         )
-    write_plan_json(plan, out, n=n)
+    write_plan_json(plan, sys.stdout, n=n)
     return EXIT_OK
 
 
@@ -253,7 +250,6 @@ def cmd_solve(
     dim: int,
     level: Sequence[int],
     point: Optional[Sequence[float]] = None,
-    stream: Optional[TextIO] = None,
 ) -> int:
     """Solve the built-in problem on one grid and report values (debug aid).
 
@@ -261,7 +257,6 @@ def cmd_solve(
     grid over the studies' node budget raises BudgetExceededError, both
     before the grid is solved.
     """
-    out = stream if stream is not None else sys.stdout
     problem = builtin_sine_problem(dim)
     lv = LevelIndex(level)
     pt = tuple(point) if point is not None else default_eval_point(dim)
@@ -285,8 +280,8 @@ def cmd_solve(
     }
     if problem.exact is not None:
         payload["error_at_point"] = value - problem.exact(pt)
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

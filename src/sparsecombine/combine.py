@@ -17,9 +17,11 @@ its partner, the level with its first two directions swapped, and reads the
 partner's nodal array, transposed, when that keeps every bit
 (``pde._partner_nodal``).
 Coefficients are exact rationals end to end; they are converted to floating
-point only at the final multiply, and the weighted reduction runs in a fixed
-sorted level order so results are bit-identical regardless of caching or the
-other points evaluated alongside.
+point only at the final multiply. A grid's values do not depend on caching or
+on the other points evaluated alongside, and the weighted reduction is
+``math.fsum``, which is correctly rounded and so does not depend on the order
+of its terms: results are bit-identical regardless of caching or the other
+points.
 
 The constructors cover the classical sparse-grid combination, 2**d-grid
 multivariate extrapolation of a single level and their composition (the
@@ -129,9 +131,8 @@ class CombinationPlan:
     """An immutable map LevelIndex -> nonzero Fraction coefficient.
 
     Coefficients that accumulate to exactly zero are dropped at construction,
-    so no stored coefficient is zero. Terms are stored in sorted level order
-    (the canonical reduction order), so ``terms``, ``items()``, ``support()``
-    and iteration all yield levels sorted by tuple.
+    so no stored coefficient is zero. Terms are stored in sorted level order,
+    so ``terms`` and iteration yield levels sorted by tuple.
 
     ``standard_plan`` and ``ho_plan`` keep their plan as its class table (see
     ``_Band``) and build ``terms`` only on first read; ``len``,
@@ -209,13 +210,6 @@ class CombinationPlan:
 
     def __iter__(self) -> Iterator[LevelIndex]:
         return iter(self.terms)
-
-    def items(self) -> list[tuple[LevelIndex, Fraction]]:
-        """Term list sorted by level tuple (the canonical reduction order)."""
-        return list(self.terms.items())
-
-    def support(self) -> list[LevelIndex]:
-        return list(self.terms)
 
     def coefficient_sum(self) -> Fraction:
         return sum(per_level_mass(self).values(), Fraction(0))
@@ -652,10 +646,11 @@ def evaluate_plan(
     partner being the level with its first two directions swapped: each
     level right after its partner, the smaller first, so that on the FFT
     path the second of a pair can read the first's nodal array
-    (``pde._partner_nodal``). Each point's weighted reduction runs over
-    sorted levels with exact coefficients converted to float at the
-    multiply, so every value is bit-identical whatever the cache state or
-    the other points evaluated alongside.
+    (``pde._partner_nodal``). Each point's weighted reduction runs over the
+    levels in that solve order, with exact coefficients converted to float
+    at the multiply; ``math.fsum`` is correctly rounded, so the order does
+    not change the result, and every value is bit-identical whatever the
+    cache state or the other points evaluated alongside.
     """
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
@@ -682,13 +677,15 @@ def evaluate_plan(
         work.reserve(largest)
         return tuple(_solve_at_table(p, key[0], table, work).tolist())
 
-    solvable = [level for level in plan.terms if min(level) >= 1]
-    solvable.sort(key=lambda level: (min(level, _swapped(level)), level))
-    entries: dict[LevelIndex, tuple[float, ...]] = {}
+    # The zero-level terms would only add exact zeros, which leave a
+    # correctly rounded sum as is.
+    solvable = [(lv, c) for lv, c in plan.terms.items() if min(lv) >= 1]
+    solvable.sort(key=lambda term: (min(term[0], _swapped(term[0])), term[0]))
+    weighted: list[tuple[float, tuple[float, ...]]] = []
     newly_solved: list[LevelIndex] = []
-    for level in solvable:
+    for level, coeff in solvable:
         try:
-            entries[level], mine = cache.get_or_solve((level, points_key), values_at)
+            entry, mine = cache.get_or_solve((level, points_key), values_at)
         except Exception as exc:
             raise PlanEvaluationError(
                 f"while solving level {tuple(level)} "
@@ -696,15 +693,10 @@ def evaluate_plan(
                 f"{str(exc) or type(exc).__name__}",
                 level=level,
             ) from exc
+        weighted.append((float(coeff), entry))
         if mine:
             newly_solved.append(level)
 
-    # The reduction runs over the solvable levels in sorted order; the
-    # zero-level terms would only add exact zeros, which leave a correctly
-    # rounded sum as is.
-    weighted = [
-        (float(coeff), entries[lv]) for lv, coeff in plan.terms.items() if lv in entries
-    ]
     return EvaluationResult(
         values=tuple(
             math.fsum(c * entry[k] for c, entry in weighted) for k in range(len(pts))
@@ -844,7 +836,6 @@ def hierarchical_surplus_study(
     node_budget: int = DEFAULT_NODE_BUDGET,
     surplus_points: int = 0,
     seed: int = 1234,
-    cache: Optional[GridCache] = None,
 ) -> list[ConvergenceRecord]:
     """Run a convergence study over n = n_min..n_max with a shared value cache.
 
@@ -880,8 +871,7 @@ def hierarchical_surplus_study(
     pts = _checked_points(x if x is not None else default_eval_point(d), d)
     if pts.shape[0] != 1:
         raise ValueError("a study evaluates at one point x")
-    if cache is None:
-        cache = GridCache()
+    cache = GridCache()
     if surplus_points > 0:
         rng = np.random.default_rng(seed)
         pts = np.vstack([pts, rng.uniform(0.05, 0.95, size=(surplus_points, d))])

@@ -10,6 +10,7 @@ Direction indices are 0-based throughout the package.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from ._lazy import np
@@ -29,12 +30,20 @@ class LevelIndex(tuple):
     """Per-direction dyadic refinement depths of a tensor grid on [0,1]^d.
 
     Behaves as a plain tuple of non-negative ints with grid-geometry helpers.
+    Each entry must be an integer (anything ``operator.index`` takes, numpy
+    integers included); a float or a string raises ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, levels: Iterable[int]):
-        lv = tuple(int(v) for v in levels)
+        lv = []
+        for v in levels:
+            try:
+                lv.append(operator.index(v))
+            except TypeError:
+                raise ValueError(f"level entry {v!r} is not an integer") from None
+        lv = tuple(lv)
         if not lv:
             raise ValueError("LevelIndex needs at least one direction")
         for v in lv:
@@ -45,10 +54,6 @@ class LevelIndex(tuple):
     @property
     def dim(self) -> int:
         return len(self)
-
-    def mesh_widths(self) -> tuple[float, ...]:
-        """Mesh width 2**-l[j] per direction (exact in binary floating point)."""
-        return tuple(2.0 ** -v for v in self)
 
     def points_per_direction(self) -> tuple[int, ...]:
         return tuple(2 ** v + 1 for v in self)

@@ -166,7 +166,8 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
         return -prod
 
     def rhs_grid(level: LevelIndex) -> np.ndarray:
-        out = _outer(np.multiply, [_interior_sines(v) for v in level])
+        out = np.empty(tuple(2 ** v - 1 for v in level))
+        _outer_into(np.multiply, [_interior_sines(v) for v in level], out)
         out *= d * np.pi ** 2
         return out
 
@@ -193,24 +194,16 @@ def _interior_sines(v: int) -> np.ndarray:
     return out
 
 
-def _outer(op, vectors: list[np.ndarray]) -> np.ndarray:
-    """The d-dimensional array (v0[i0] op v1[i1]) op ... op v_{d-1}[i_{d-1}],
-    folded from the left by broadcasting; always a new array."""
-    d = len(vectors)
-    out = vectors[0].reshape((-1,) + (1,) * (d - 1))
-    for j in range(1, d):
-        out = op(out, vectors[j].reshape((-1,) + (1,) * (d - 1 - j)))
-    return out if d > 1 else out.copy()
-
-
 def _outer_into(op, vectors: list[np.ndarray], out: np.ndarray) -> None:
-    """Write :func:`_outer` of ``vectors`` into ``out``, in any layout: the
-    fold of all but the last vector, then one broadcast with the last. The
-    association order is the fold's, so every entry has the same bits. Only
-    that fold over the first d-1 directions is allocated, laid out as
-    ``out``'s first d-1 axes so that the broadcast reads it in order, and not
-    even that when the last vector has one entry: the fold is then written
-    into ``out`` and the last entry applied in place."""
+    """Write the d-dimensional array (v0[i0] op v1[i1]) op ... op
+    v_{d-1}[i_{d-1}] of ``vectors`` into ``out``, in any layout: the fold
+    of all but the last vector, then one broadcast with the last. Every entry
+    is associated from the left, so it has the bits of the same fold
+    broadcast into a new array. Only that fold over the first d-1 directions
+    is allocated, laid out as ``out``'s first d-1 axes so that the broadcast
+    reads it in order, and not even that when the last vector has one entry:
+    the fold is then written into ``out`` and the last entry applied in
+    place."""
     *head, last = vectors
     if not head:
         np.copyto(out, last)
@@ -797,24 +790,24 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
     count the nodal grid of :func:`solve_poisson` is the cheaper route.
     """
     level = _solvable_level(p, l)
-    return _solve_at_table(p, level, _PointTable(_checked_points(x, level.dim)))
+    table = _PointTable(_checked_points(x, level.dim))
+    return _solve_at_table(p, level, table, _Workspace())
 
 
 def _solve_at_table(
     p: ProblemSpec,
     level: LevelIndex,
     table: _PointTable,
-    work: Optional[_Workspace] = None,
+    work: _Workspace,
 ) -> np.ndarray:
     """:func:`solve_at_points` for a solvable ``level`` of ``p`` at the points
     of ``table``, which the grids evaluated at those points share, as they
-    share the factor transforms and work buffers of ``work`` (a fresh
-    workspace when None): :func:`_solve_along` with the inverse transform
-    along the longest direction. On the FFT path the level's nodal array is
-    read from ``work.last`` when it holds it (:func:`_partner_nodal`), and
-    either way kept there.
+    share the factor transforms and work buffers of ``work``:
+    :func:`_solve_along` with the inverse transform along the longest
+    direction. On the FFT path the level's nodal array is read from
+    ``work.last`` when it holds it (:func:`_partner_nodal`), and either way
+    kept there.
     """
-    work = _Workspace() if work is None else work
     a = level.index(max(level))
     fft = _uses_fft(2 ** level[a] - 1)
     nodal = _partner_nodal(p, level, work) if fft else None

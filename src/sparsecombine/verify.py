@@ -1,8 +1,8 @@
 """Verification of the extrapolation weights and their cancellation structure.
 
-Three identity checks run in exact rational arithmetic end to end (a floating
-variant of the randomized check exists only to exercise the same code path the
-plan evaluator uses):
+Three identity checks run in exact rational arithmetic end to end (the
+randomized check also has a float64 phase, which checks that the weights
+rounded to float64 still cancel each random table to within 1e-12 * 2**d):
 
 - normalization: sum_k alpha_k C(d,k) = 1,
 - the cancellation system: for every m = 1..d the weighted subgrid sums of the
@@ -139,8 +139,8 @@ def check_lemma_cancel(
 
     Runs ``trials`` random tables twice: with small rational entries (defect
     must be exactly 0; summed in integer arithmetic over a common
-    denominator) and with float entries in [-1, 1] (defect must stay within
-    1e-12 * 2**d, exercising the floating code path). ``trials`` must be at
+    denominator) and with float entries in [-1, 1] and float64 weights
+    (defect must stay within 1e-12 * 2**d). ``trials`` must be at
     least 1: a check that draws no table would pass vacuously.
     """
     if d < 1:
@@ -281,11 +281,10 @@ def default_expansion_point(d: int) -> tuple[float, ...]:
 
 
 def synthetic_expansion_check(
-    se: SyntheticExpansion,
-    base_h_levels: Sequence[int],
-    x: Optional[Point] = None,
+    se: SyntheticExpansion, base_h_levels: Sequence[int]
 ) -> list[tuple[float, float]]:
-    """Extrapolation residuals u(x) - Utilde(x; h) over isotropic h = 2**-n.
+    """Extrapolation residuals u(x) - Utilde(x; h) over isotropic h = 2**-n,
+    at x = default_expansion_point(se.dim).
 
     Returns one (h, residual) row per level in ``base_h_levels`` (at least 3
     levels required). A correct weight set cancels every h^2 term exactly, so
@@ -294,7 +293,7 @@ def synthetic_expansion_check(
     levels = list(base_h_levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels to measure a decay rate")
-    pt = tuple(x) if x is not None else default_expansion_point(se.dim)
+    pt = default_expansion_point(se.dim)
     exact = se.base(pt)
     rows: list[tuple[float, float]] = []
     for n in levels:
@@ -303,19 +302,13 @@ def synthetic_expansion_check(
     return rows
 
 
-def residual_bound(se: SyntheticExpansion, h: Union[float, Sequence[float]]) -> float:
-    """The guaranteed residual envelope (5/3)**d * gamma_bound * sum_S prod h_j^4.
+def residual_bound(se: SyntheticExpansion, h: float) -> float:
+    """The guaranteed residual envelope (5/3)**d * gamma_bound * sum_S h^(4|S|)
+    at the isotropic mesh width ``h``.
 
-    The subset sum runs over all nonempty S, i.e. prod_j (1 + h_j^4) - 1.
+    The subset sum runs over all nonempty S, i.e. (1 + h^4)**d - 1.
     """
-    if isinstance(h, (int, float)):
-        widths = (float(h),) * se.dim
-    else:
-        widths = tuple(float(v) for v in h)
-    subset_sum = 1.0
-    for v in widths:
-        subset_sum *= 1.0 + v ** 4
-    subset_sum -= 1.0
+    subset_sum = math.prod([1.0 + float(h) ** 4] * se.dim) - 1.0
     return (5.0 / 3.0) ** se.dim * se.gamma_bound * subset_sum
 
 

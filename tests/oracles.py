@@ -103,6 +103,21 @@ def interp_corners(full: np.ndarray, level, x) -> float:
 
 
 # ---------------------------------------------------------------------------
+# New-array outer products
+
+
+def outer(op, vectors: list[np.ndarray]) -> np.ndarray:
+    """The d-dimensional array (v0[i0] op v1[i1]) op ... op v_{d-1}[i_{d-1}],
+    folded from the left by broadcasting; always a new array. The reference
+    for the solver's in-buffer outer products (``pde._outer_into``)."""
+    d = len(vectors)
+    out = vectors[0].reshape((-1,) + (1,) * (d - 1))
+    for j in range(1, d):
+        out = op(out, vectors[j].reshape((-1,) + (1,) * (d - 1 - j)))
+    return out if d > 1 else out.copy()
+
+
+# ---------------------------------------------------------------------------
 # Closed-form grid values of the built-in problem
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the measurement
 lines; each test prints its measured numbers and PASS/FAIL before asserting.
 """
 
+import contextlib
 import io
 import math
 import time
@@ -42,7 +43,8 @@ def _verdict(tag: str, detail: str, ok: bool) -> None:
 def test_c01_weight_identities_all_pass():
     t0 = time.perf_counter()
     buf = io.StringIO()
-    code = cmd_verify(10, trials=100, seed=0, stream=buf)
+    with contextlib.redirect_stdout(buf):
+        code = cmd_verify(10, trials=100, seed=0)
     elapsed = time.perf_counter() - t0
     ok = code == 0 and elapsed < 10.0
     _verdict(

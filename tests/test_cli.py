@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -280,7 +281,8 @@ def test_study_nan_point_exits_3_without_traceback(capsys):
 
 def test_verify_ok_exit_zero():
     buf = io.StringIO()
-    code = cmd_verify(6, trials=25, seed=0, stream=buf)
+    with contextlib.redirect_stdout(buf):
+        code = cmd_verify(6, trials=25, seed=0)
     assert code == EXIT_OK
     text = buf.getvalue()
     assert "checks passed" in text
@@ -289,7 +291,8 @@ def test_verify_ok_exit_zero():
 
 def test_verify_perturbed_weights_exit_one():
     buf = io.StringIO()
-    code = cmd_verify(4, trials=10, seed=0, perturb_alpha1=Fraction(101, 100), stream=buf)
+    with contextlib.redirect_stdout(buf):
+        code = cmd_verify(4, trials=10, seed=0, perturb_alpha1=Fraction(101, 100))
     assert code == EXIT_VERIFY_FAILED
     assert "FAILED" in buf.getvalue()
 
@@ -343,8 +346,10 @@ def test_plan_bad_kind(capsys):
 
 
 def test_cmd_plan_stream():
+    # cmd_plan writes to sys.stdout as it is when called.
     buf = io.StringIO()
-    assert cmd_plan(2, 3, "standard", stream=buf) == EXIT_OK
+    with contextlib.redirect_stdout(buf):
+        assert cmd_plan(2, 3, "standard") == EXIT_OK
     payload = json.loads(buf.getvalue())
     assert payload["coefficient_sum"] == "1/1"
 
@@ -365,7 +370,8 @@ EXACT_PLANS = [("ho", 5, 6), ("ho", 6, 2), ("standard", 8, 3)]
 ])
 def test_cmd_plan_writes_json_dump_bytes(kind, d, n):
     buf = io.StringIO()
-    assert cmd_plan(d, n, kind, stream=buf) == EXIT_OK
+    with contextlib.redirect_stdout(buf):
+        assert cmd_plan(d, n, kind) == EXIT_OK
     plan = standard_plan(d, n) if kind == "standard" else ho_plan(d, n)
     assert buf.getvalue() == json_dump_bytes(plan, n)
 
@@ -856,8 +862,10 @@ def test_grid_solve_other_failure_propagates(monkeypatch):
 
 
 def test_cmd_solve_stream():
+    # cmd_solve writes to sys.stdout as it is when called.
     buf = io.StringIO()
-    assert cmd_solve(1, (3,), stream=buf) == EXIT_OK
+    with contextlib.redirect_stdout(buf):
+        assert cmd_solve(1, (3,)) == EXIT_OK
     payload = json.loads(buf.getvalue())
     assert payload["nodes"] == 9
 
@@ -895,6 +903,16 @@ def test_cmd_study_stdout_default(capsys):
     assert cmd_study("FG", 1, 3, 4) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("# method=FG")
+
+
+@pytest.mark.parametrize("fmt", ["jsn", "CSV", ""])
+def test_cmd_study_rejects_unknown_format(tmp_path, fmt):
+    # An unknown format is refused before the output is opened or anything
+    # is solved.
+    out = tmp_path / "records.txt"
+    with pytest.raises(ValueError, match="unknown format"):
+        cmd_study("SG", 2, 1, 2, fmt=fmt, out=str(out))
+    assert not out.exists()
 
 
 def test_cmd_study_honours_env_budget(monkeypatch, capsys):

@@ -34,7 +34,7 @@ from sparsecombine.combine import (
     surplus_order,
     _node_total,
 )
-from sparsecombine import pde
+from sparsecombine import combine, pde
 from sparsecombine.grid import GridFunction, LevelIndex, multilinear_eval
 from sparsecombine.pde import (
     DIRECT_TRANSFORM_MAX,
@@ -42,6 +42,7 @@ from sparsecombine.pde import (
     _PointTable,
     _solve_at_table,
     _swapped,
+    _Workspace,
     builtin_sine_problem,
     solve_at_points,
     solve_poisson,
@@ -73,9 +74,17 @@ def test_plan_rejects_mixed_dimension():
         CombinationPlan(2, {(1, 1): 1, (2,): 1})
 
 
+def test_plan_rejects_non_integer_level():
+    # A fractional level is refused, not truncated to (2, 3).
+    with pytest.raises(ValueError, match=r"level entry 2\.9 is not an integer"):
+        CombinationPlan(2, {(2.9, 3): 1})
+    with pytest.raises(ValueError, match="level entry '3' is not an integer"):
+        CombinationPlan(2, {("3", 3): 1})
+
+
 def test_plan_shifted():
     plan = standard_plan(2, 1).shifted(1)
-    assert all(min(lv) >= 1 for lv in plan.support())
+    assert all(min(lv) >= 1 for lv in plan)
     assert plan.coefficient_sum() == 1
 
 
@@ -102,16 +111,15 @@ def test_plan_shifted_keeps_python_int_levels():
 
 
 def test_plan_terms_in_sorted_level_order():
-    # Terms are stored sorted by level tuple whatever the input order, so every
-    # view of the plan is the canonical reduction order, and shifting keeps it.
+    # Terms are stored sorted by level tuple whatever the input order, so the
+    # terms and iteration yield sorted levels, and shifting keeps the order.
     given = {(2, 0): 1, (0, 2): 2, (1, 1): -1, (0, 1): 3, (1, 0): Fraction(1, 2)}
     plan = CombinationPlan(2, given)
     expected = sorted(LevelIndex(lv) for lv in given)
     assert list(plan.terms) == expected
-    assert plan.support() == expected
-    assert [lv for lv, _ in plan.items()] == expected
+    assert [lv for lv, _ in plan.terms.items()] == expected
     assert list(plan) == expected
-    assert dict(plan.items()) == {LevelIndex(lv): Fraction(c) for lv, c in given.items()}
+    assert dict(plan.terms) == {LevelIndex(lv): Fraction(c) for lv, c in given.items()}
     assert list(plan.shifted(1)) == [lv.shifted(1) for lv in expected]
     for built in (standard_plan(3, 2), ho_plan(3, 2), extrapolation_plan((2, 1, 3))):
         assert list(built) == sorted(built.terms)
@@ -131,7 +139,7 @@ def test_plan_immutable():
 
 def test_standard_plan_trivial_1d():
     plan = standard_plan(1, 3)
-    assert dict(plan.items()) == {LevelIndex((3,)): Fraction(1)}
+    assert dict(plan.terms) == {LevelIndex((3,)): Fraction(1)}
 
 
 def test_standard_plan_d2_n1_frozen():
@@ -143,14 +151,14 @@ def test_standard_plan_d2_n1_frozen():
         (1, 1): Fraction(1),
         (0, 2): Fraction(1),
     }
-    assert {tuple(lv): c for lv, c in plan.items()} == expected
+    assert {tuple(lv): c for lv, c in plan.terms.items()} == expected
 
 
 def test_standard_plan_d3_diagonal_coefficients():
     # Three diagonals |l| = n .. n+2 carry per-term coefficients 1, -2, 1.
     plan = standard_plan(3, 0)
     by_diag = {}
-    for lv, c in plan.items():
+    for lv, c in plan.terms.items():
         by_diag.setdefault(sum(lv), set()).add(c)
     assert by_diag == {0: {Fraction(1)}, 1: {Fraction(-2)}, 2: {Fraction(1)}}
 
@@ -160,7 +168,7 @@ def test_standard_plan_coefficients_match_recurrence(d):
     coeffs = standard_coeffs(d)
     for n in range(0, 4):
         plan = standard_plan(d, n)
-        for lv, c in plan.items():
+        for lv, c in plan.terms.items():
             assert n <= sum(lv) <= n + d - 1
             assert c == coeffs[sum(lv) - n]
 
@@ -206,7 +214,7 @@ def test_extrapolation_plan_frozen_2d():
         (2, 4): Fraction(-4, 9),
         (3, 4): Fraction(16, 9),
     }
-    assert {tuple(lv): c for lv, c in plan.items()} == expected
+    assert {tuple(lv): c for lv, c in plan.terms.items()} == expected
 
 
 def test_extrapolation_plan_coefficient_sum_is_one():
@@ -216,7 +224,7 @@ def test_extrapolation_plan_coefficient_sum_is_one():
 
 def test_extrapolation_plan_accepts_zero_levels():
     plan = extrapolation_plan((0, 2))
-    assert LevelIndex((1, 3)) in set(plan.support())
+    assert LevelIndex((1, 3)) in set(plan)
     assert plan.coefficient_sum() == 1
 
 
@@ -226,7 +234,7 @@ def test_extrapolation_plan_accepts_zero_levels():
 
 def test_ho_plan_1d_is_two_grid_extrapolation():
     plan = ho_plan(1, 4)
-    assert {tuple(lv): c for lv, c in plan.items()} == {
+    assert {tuple(lv): c for lv, c in plan.terms.items()} == {
         (4,): Fraction(-1, 3),
         (5,): Fraction(4, 3),
     }
@@ -302,7 +310,7 @@ def test_ho_plan_rejects_n_zero():
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2), (4, 2)])
 def test_ho_plan_support_band(d, n):
     plan = ho_plan(d, n)
-    diags = [sum(lv) for lv in plan.support()]
+    diags = [sum(lv) for lv in plan]
     assert min(diags) == n
     assert max(diags) == n + 2 * d - 1
     assert plan.coefficient_sum() == 1
@@ -348,7 +356,7 @@ def assert_class_counts_match_enumeration(plan):
     gc_was_enabled = gc.isenabled()
     gc.disable()  # millions of tracked level tuples: collections cost, not check
     try:
-        items = plan.items()
+        items = plan.terms.items()
         total = sum((c for _, c in items), Fraction(0))
         masses = level_mass_by_fraction_sum(plan.terms)
         assert len(plan) == plan.term_count() == len(items)
@@ -562,12 +570,13 @@ def test_shared_point_table_bit_identical(levels, seed):
     for i in rng.permutation(len(levels)):
         lv = LevelIndex(levels[i])
         for table in (kept, rebuilt):
-            assert _solve_at_table(p, lv, table).tobytes() == fresh[levels[i]].tobytes()
+            values = _solve_at_table(p, lv, table, _Workspace())
+            assert values.tobytes() == fresh[levels[i]].tobytes()
 
     plan = CombinationPlan(
         d, {lv: Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 7))) for lv in levels}
     )
-    weighted = [(float(c), fresh[tuple(lv)]) for lv, c in plan.items()]
+    weighted = [(float(c), fresh[tuple(lv)]) for lv, c in plan.terms.items()]
     want = [math.fsum(c * values[k] for c, values in weighted) for k in range(len(pts))]
     assert list(evaluate_plan(p, plan, pts).values) == want
 
@@ -604,7 +613,7 @@ def test_hosg_matches_closed_form_oracle(d):
     for n in (1, 2):
         plan = method_plan("HOSG", d, n, 0)
         got = evaluate_plan(p, plan, pts, cache).values
-        solvable = [(float(c), lv) for lv, c in plan.items() if min(lv) > 0]
+        solvable = [(float(c), lv) for lv, c in plan.terms.items() if min(lv) > 0]
         for k, x in enumerate(pts):
             parts = [c * builtin_grid_value(lv, x) for c, lv in solvable]
             scale = math.fsum(map(abs, parts))
@@ -688,7 +697,7 @@ def test_cache_reuse_and_incremental_dof():
     r5 = evaluate_plan(p, plan5, (0.25, 0.5), cache)
     assert r5.dof_unique == node_total_by_terms(plan5)
     r6 = evaluate_plan(p, plan6, (0.25, 0.5), cache)
-    new_levels = set(plan6.support()) - set(plan5.support())
+    new_levels = set(plan6) - set(plan5)
     assert r6.dof_unique == sum(lv.node_count() for lv in new_levels)
     assert r6.grids_solved == len(new_levels)
     # warm cache: nothing new
@@ -829,11 +838,16 @@ def test_cache_does_not_serve_another_point_set():
     assert again.value == first.value
 
 
-def test_study_cache_holds_values_not_grids():
+def test_study_cache_holds_values_not_grids(monkeypatch):
+    # The study makes its own GridCache; the recording subclass stands in
+    # for it.
+    caches = []
+
     class RecordingCache(GridCache):
         def __init__(self):
             super().__init__()
             self.seen = {}
+            caches.append(self)
 
         def get_or_solve(self, key, solver):
             entry, mine = super().get_or_solve(key, solver)
@@ -844,13 +858,12 @@ def test_study_cache_holds_values_not_grids():
         gc.collect()
         return sum(isinstance(o, GridFunction) for o in gc.get_objects())
 
+    monkeypatch.setattr(combine, "GridCache", RecordingCache)
     p = builtin_sine_problem(2)
-    cache = RecordingCache()
     before = live_grids()
-    hierarchical_surplus_study(
-        p, "HOSG", 2, 5, n_min=2, surplus_points=6, cache=cache
-    )
+    hierarchical_surplus_study(p, "HOSG", 2, 5, n_min=2, surplus_points=6)
     assert live_grids() <= before
+    [cache] = caches
     assert len(cache.seen) == len(cache) > 0
     for entry in cache.seen.values():
         assert type(entry) is tuple and len(entry) == 7
@@ -913,7 +926,7 @@ def test_combined_interpolation_of_exact_solution():
     def combined(n):
         plan = standard_plan(2, n).shifted(1)
         total = math.fsum(
-            float(c) * multilinear_eval(exact_grid(lv), x) for lv, c in plan.items()
+            float(c) * multilinear_eval(exact_grid(lv), x) for lv, c in plan.terms.items()
         )
         return total
 
@@ -924,7 +937,7 @@ def test_combined_interpolation_of_exact_solution():
     plan = standard_plan(2, 6).shifted(1)
     at_node = math.fsum(
         float(c) * multilinear_eval(exact_grid(lv), node)
-        for lv, c in plan.items()
+        for lv, c in plan.terms.items()
     )
     assert at_node == pytest.approx(p.exact(node), abs=1e-14)
 
@@ -1001,9 +1014,9 @@ def test_study_dof_unique_is_incremental():
     seen = set()
     for r in recs:
         plan = standard_plan(2, r.n).shifted(1)
-        new = [lv for lv in plan.support() if lv not in seen]
+        new = [lv for lv in plan if lv not in seen]
         assert r.dof_unique == sum(lv.node_count() for lv in new)
-        seen.update(plan.support())
+        seen.update(plan)
         assert r.dof_total == node_total_by_terms(plan)
 
 

@@ -21,14 +21,19 @@ def sampled(level, fn) -> GridFunction:
     return GridFunction(level, fn(np.meshgrid(*axes, indexing="ij")))
 
 
+def mesh_widths(level) -> tuple[float, ...]:
+    # The node spacing per direction, from the node counts.
+    return tuple(1.0 / (m - 1) for m in LevelIndex(level).points_per_direction())
+
+
 # ---------------------------------------------------------------------------
 # LevelIndex
 
 
 def test_mesh_widths_examples():
-    assert LevelIndex((0, 0)).mesh_widths() == (1.0, 1.0)
-    assert LevelIndex((3,)).mesh_widths() == (0.125,)
-    assert LevelIndex((2, 5, 1)).mesh_widths() == (0.25, 0.03125, 0.5)
+    assert mesh_widths((0, 0)) == (1.0, 1.0)
+    assert mesh_widths((3,)) == (0.125,)
+    assert mesh_widths((2, 5, 1)) == (0.25, 0.03125, 0.5)
 
 
 def test_refine_examples():
@@ -49,6 +54,22 @@ def test_level_validation():
         LevelIndex((1, -1))
 
 
+@pytest.mark.parametrize(
+    "bad", [1.7, 2.0, "3", None, np.float64(2.0)], ids=["1.7", "2.0", "str", "None", "np.float64"]
+)
+def test_level_entries_must_be_integers(bad):
+    # A float is not truncated and a string is not parsed: either raises
+    # ValueError naming the entry.
+    with pytest.raises(ValueError, match=re.escape(f"level entry {bad!r} is not an integer")):
+        LevelIndex((bad, 2))
+
+
+def test_level_accepts_numpy_integers():
+    lv = LevelIndex(np.array([3, 1], dtype=np.int64))
+    assert lv == (3, 1)
+    assert all(type(v) is int for v in lv)
+
+
 def test_shifted():
     lv = LevelIndex((0, 3))
     assert lv.shifted(2) == (2, 5)
@@ -67,7 +88,7 @@ def test_counts_match_closed_forms(levels):
         interior *= 2 ** v - 1
     assert lv.node_count() == node
     assert lv.interior_count() == interior
-    assert lv.mesh_widths() == tuple(2.0 ** -v for v in levels)
+    assert mesh_widths(lv) == tuple(2.0 ** -v for v in levels)
 
 
 @given(
@@ -80,13 +101,13 @@ def test_refine_halves_widths(levels, data):
     fine = lv.refine(subset)
     for j in range(lv.dim):
         factor = 0.5 if j in subset else 1.0
-        assert fine.mesh_widths()[j] == factor * lv.mesh_widths()[j]
+        assert mesh_widths(fine)[j] == factor * mesh_widths(lv)[j]
 
 
 def test_enumerate_matches_values_order():
     # Values are flat in lexicographic (C) order of the node index tuple.
     g = sampled((2, 1), lambda x: 10 * x[0] + x[1])
-    h = g.level.mesh_widths()
+    h = mesh_widths(g.level)
     indices = list(np.ndindex(*g.shape))
     assert len(indices) == g.values.size == 15
     assert indices[0] == (0, 0) and indices[-1] == (4, 2)
@@ -142,7 +163,7 @@ def test_bilinear_product_frozen():
 
 def test_eval_exact_at_nodes():
     g = sampled((2, 3), lambda x: np.cos(x[0] + 2 * x[1]))
-    h = g.level.mesh_widths()
+    h = mesh_widths(g.level)
     for idx in np.ndindex(*g.shape):
         pt = tuple(i * w for i, w in zip(idx, h))
         assert multilinear_eval(g, pt) == g.ndview()[idx]

@@ -24,7 +24,6 @@ from sparsecombine.pde import (
     _eigenvalues_1d,
     _factor_coefficients,
     _interpolate_nodal,
-    _outer,
     _sample_interior_rhs,
     _solve_at_table,
     _swapped,
@@ -40,6 +39,7 @@ from oracles import (
     builtin_grid_value_decimal,
     decimal_sine,
     interp_corners,
+    outer,
     solve_assembled,
 )
 
@@ -72,7 +72,7 @@ def test_builtin_rhs_grid_matches_scalar():
     grid = p.rhs_grid(lv)
     # interior lattice in the same odometer order as a scalar loop
     expected = np.empty(lv.interior_count())
-    widths = lv.mesh_widths()
+    widths = [2.0 ** -v for v in lv]
     k = 0
     for idx in np.ndindex(*(2 ** v - 1 for v in lv)):
         pt = tuple((i + 1) * w for i, w in zip(idx, widths))
@@ -343,6 +343,15 @@ def test_dimension_mismatch_rejected():
         solve_poisson(p, (3,))
 
 
+def test_non_integer_level_rejected():
+    # A fractional level is refused, not truncated to the grid (3, 3).
+    p = builtin_sine_problem(2)
+    with pytest.raises(ValueError, match=r"level entry 3\.5 is not an integer"):
+        solve_at_points(p, (3.5, 3), (0.25, 0.5))
+    with pytest.raises(ValueError, match="level entry '3' is not an integer"):
+        solve_poisson(p, ("3", 2))
+
+
 def test_rhs_grid_shape_mismatch_rejected():
     p = ProblemSpec(
         dim=1,
@@ -373,7 +382,7 @@ def test_second_order_convergence(d, n_range):
     for n in n_range:
         u, _ = solve_poisson(p, (n,) * d)
         full = u.ndview()
-        h = u.level.mesh_widths()
+        h = [2.0 ** -v for v in u.level]
         worst = 0.0
         for idx in np.ndindex(*full.shape):
             pt = tuple(i * w for i, w in zip(idx, h))
@@ -413,7 +422,7 @@ def test_residual_contract_random_levels(levels, seed):
     u, rep = solve_poisson(p, levels)
     lv = LevelIndex(levels)
     # f at the interior nodes i * h_j, in C order.
-    axes = [np.arange(1, 2 ** v) * w for v, w in zip(lv, lv.mesh_widths())]
+    axes = [np.arange(1, 2 ** v) * 2.0 ** -v for v in lv]
     f = np.array([rhs(pt) for pt in itertools.product(*axes)])
     f = f.reshape([a.size for a in axes])
     f_inf = float(np.abs(f).max())
@@ -636,11 +645,12 @@ def test_factor_cache_bit_identical(d):
 
 def _fresh_array_solve(p, level, axes):
     # The solve with a new array at every stage: the outer products of
-    # _outer, the division into a new array and sine_transform (0.5 * DST-I
-    # on the FFT path), forward for sampled data and inverse along ``axes``.
+    # oracles.outer, the division into a new array and sine_transform
+    # (0.5 * DST-I on the FFT path), forward for sampled data and inverse
+    # along ``axes``.
     if p.rhs_factors is not None:
         factors = [_factor_coefficients(p, j, level, {}) for j in range(level.dim)]
-        numer = _outer(np.multiply, factors)
+        numer = outer(np.multiply, factors)
         numer *= p.rhs_factors[0]
     else:
         numer = _sample_interior_rhs(p, level)
@@ -648,7 +658,7 @@ def _fresh_array_solve(p, level, axes):
             if v > 1:
                 numer = sine_transform(numer, axis)
     scale = 2.0 ** (sum(level) - level.dim)
-    out = numer / _outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
+    out = numer / outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
     for axis in axes:
         if level[axis] > 1:
             out = sine_transform(out, axis)
@@ -885,7 +895,7 @@ def test_apply_operator_inverts_solve():
     u, _ = solve_poisson(p, (4, 5))
     out = apply_operator(u)
     lv = u.level
-    h = lv.mesh_widths()
+    h = [2.0 ** -v for v in lv]
     for idx in np.ndindex(*lv.points_per_direction()):
         if all(0 < i < 2 ** v for i, v in zip(idx, lv)):
             pt = tuple(i * w for i, w in zip(idx, h))

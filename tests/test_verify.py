@@ -250,7 +250,9 @@ def test_residual_bound_formula():
     h = 0.25
     expected = (5.0 / 3.0) ** 2 * 2.0 * ((1 + h ** 4) ** 2 - 1)
     assert residual_bound(se, h) == pytest.approx(expected, rel=1e-15)
-    assert residual_bound(se, (0.25, 0.25)) == pytest.approx(expected, rel=1e-15)
+    # The width is one isotropic h; per-direction widths are not taken.
+    with pytest.raises(TypeError):
+        residual_bound(se, (0.25, 0.25))
 
 
 @pytest.mark.parametrize("d,seed", [(1, 3), (2, 11), (2, 12), (3, 5)])
