@@ -10,6 +10,15 @@ rounded to float64 still cancel each random table to within 1e-12 * 2**d):
 - the randomized telescoping check: for arbitrary tables beta over {0,1}^(d-1),
   sum_k alpha_k sum_{|i|=k} 4**(-i_0) beta(i_1..i_{d-1}) = 0.
 
+The exact sums run in integers over the weights' common denominator, with one
+Fraction per report. The randomized check reads its rational tables off
+random.Random's stream of 32-bit words in bulk. It rests on three facts of
+that stream, which the tests pin against a literal draw-by-draw oracle:
+getrandbits(k) for k <= 32 is the top k bits of one word (getrandbits(32 * W)
+holds the next W words, the first in the lowest bits); randint(a, b) draws
+getrandbits(n.bit_length()), n = b - a + 1, until the value is below n; and
+random() takes two words.
+
 Synthetic expansions model a solver's error as
 U(x; h) = u(x) - sum_j beta_j(x, h_others) h_j^2 - sum_S gamma_S(x, h_S) prod h_j^4
 with closed-form beta and gamma (no PDE solve involved), so applying the
@@ -21,8 +30,8 @@ terms.
 from __future__ import annotations
 
 import math
-import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -77,17 +86,22 @@ def _weights_for(d: int, weights: Optional[Sequence[Fraction]]) -> list[Fraction
     return w
 
 
+def _integer_weights(alpha: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The weights times the lcm D of their denominators, as integers, and D."""
+    scale = math.lcm(*(a.denominator for a in alpha))
+    return [a.numerator * (scale // a.denominator) for a in alpha], scale
+
+
 def check_normalization(
     d: int, weights: Optional[Sequence[Fraction]] = None
 ) -> IdentityReport:
-    """Exact check of sum_k alpha_k C(d,k) = 1."""
+    """Exact check of sum_k alpha_k C(d,k) = 1, summed in integers over the
+    weights' common denominator."""
     if not 1 <= d <= 64:
         raise ValueError("normalization check supports 1 <= d <= 64")
-    alpha = _weights_for(d, weights)
-    defect = sum(alpha[k] * comb(d, k) for k in range(d + 1)) - 1
-    return IdentityReport(
-        d=d, identity="normalization", max_abs_defect=abs(defect), passed=defect == 0
-    )
+    alpha_z, scale = _integer_weights(_weights_for(d, weights))
+    defect = sum(a * comb(d, k) for k, a in enumerate(alpha_z)) - scale
+    return IdentityReport(d, "normalization", Fraction(abs(defect), scale), defect == 0)
 
 
 def check_cancellation_system(
@@ -99,24 +113,25 @@ def check_cancellation_system(
     sum_k alpha_k sum_l 4**(-l) C(m,l) C(d-m,k-l), must vanish: the inner sum
     counts the subgrids refining l of the m directions carrying the error
     term, each contributing a factor 4**(-l) from the squared mesh widths.
+    Summed in integers: the weights times their common denominator D, the
+    inner sums times 4**m, the worst group over D * 4**d.
     """
     if not 1 <= d <= 32:
         raise ValueError("cancellation check supports 1 <= d <= 32")
-    alpha = _weights_for(d, weights)
-    worst = Fraction(0)
+    alpha_z, scale = _integer_weights(_weights_for(d, weights))
+    worst = 0
     for m in range(1, d + 1):
-        total = Fraction(0)
-        for k in range(d + 1):
-            inner = Fraction(0)
-            for l in range(max(0, m + k - d), min(m, k) + 1):
-                inner += Fraction(comb(m, l) * comb(d - m, k - l), 4 ** l)
-            total += alpha[k] * inner
-        worst = max(worst, abs(total))
+        refined = [comb(m, l) << 2 * (m - l) for l in range(m + 1)]
+        total = sum(
+            a * sum(
+                refined[l] * comb(d - m, k - l)
+                for l in range(max(0, m + k - d), min(m, k) + 1)
+            )
+            for k, a in enumerate(alpha_z)
+        )
+        worst = max(worst, abs(total) << 2 * (d - m))
     return IdentityReport(
-        d=d,
-        identity="cancellation_system",
-        max_abs_defect=worst,
-        passed=worst == 0,
+        d, "cancellation_system", Fraction(worst, scale << 2 * d), worst == 0
     )
 
 
@@ -128,6 +143,23 @@ _TABLE_MAX_DEN = 40
 _TABLE_LCM = math.lcm(*range(1, _TABLE_MAX_DEN + 1))
 _TABLE_SCALE = [_TABLE_LCM // q for q in range(1, _TABLE_MAX_DEN + 1)]
 
+# An entry p/q is drawn as p = randint(-_TABLE_MAX_NUM, _TABLE_MAX_NUM), then
+# q = randint(1, _TABLE_MAX_DEN): each a run of rejected words and one word
+# accepted by its top byte, below _NUM_OK (199) for p and _DEN_OK (160) for q.
+# _ENTRY matches one entry in the words' top bytes; _ONE_ENTRY captures both.
+_NUM_SPAN = 2 * _TABLE_MAX_NUM + 1
+_NUM_SHIFT = 8 - _NUM_SPAN.bit_length()
+_DEN_SHIFT = 8 - _TABLE_MAX_DEN.bit_length()
+_NUM_OK = _NUM_SPAN << _NUM_SHIFT
+_DEN_OK = _TABLE_MAX_DEN << _DEN_SHIFT
+_DRAWS = (
+    rb"[\x%02x-\xff]*" % _NUM_OK, rb"[\x00-\x%02x]" % (_NUM_OK - 1),
+    rb"[\x%02x-\xff]*" % _DEN_OK, rb"[\x00-\x%02x]" % (_DEN_OK - 1),
+)
+_ENTRY = b"%s%s%s%s" % _DRAWS
+_ONE_ENTRY = re.compile(b"%s(%s)%s(%s)" % _DRAWS)
+_RUN = 1 << 14  # entries per match at most; each holds ~200 B of the matcher's stack
+
 
 def check_lemma_cancel(
     d: int,
@@ -138,76 +170,86 @@ def check_lemma_cancel(
     """Randomized telescoping check with arbitrary tables beta: {0,1}^(d-1) -> values.
 
     Runs ``trials`` random tables twice: with small rational entries (defect
-    must be exactly 0; summed in integer arithmetic over a common
-    denominator) and with float entries in [-1, 1] and float64 weights
-    (defect must stay within 1e-12 * 2**d). ``trials`` must be at
-    least 1: a check that draws no table would pass vacuously.
+    must be exactly 0) and with float entries in [-1, 1] and float64 weights
+    (defect must stay within 1e-12 * 2**d). ``trials`` must be at least 1: a
+    check that draws no table would pass vacuously; ``d`` is at most 16.
+
+    The exact phase folds bit vectors (0, key) and (1, key) into one integer
+    weight, alpha_|key| + alpha_(|key|+1) / 4 over a common denominator (0 for
+    every key with the true weights). It reads the table draws from bulk
+    getrandbits(32 * W) calls, decodes only the entries of nonzero-weight keys
+    and skips each run of zero-weight keys, across trials too, in one regular
+    expression match. The float phase then reseeds and skips exactly the words
+    consumed, so its draws are those of drawing every entry one by one. Its
+    weights stay unfolded, since folded ones cancel before any entry enters,
+    and its terms are summed left to right in bit-vector order.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    if not 1 <= d <= 16:
+        raise ValueError("lemma_cancel check supports 1 <= d <= 16")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     alpha = _weights_for(d, weights)
-    alpha_f = [float(a) for a in alpha]
-    rng = random.Random(seed)
-    bit_vectors = list(product((0, 1), repeat=d))
+    alpha_z, scale = _integer_weights(alpha)
     n_keys = 2 ** (d - 1)
-    # Each bit vector's weight alpha_|b| * 4**(-b_0), exact and in float;
-    # the float terms keep the left-to-right product (alpha * 4**(-b_0)) *
-    # beta. The two weights sharing a key stay separate terms:
-    # alpha_k + alpha_{k+1}/4 = 0, so folding them would make the check
-    # vacuous.
-    weights_q = [alpha[sum(b)] * Fraction(1, 4 ** b[0]) for b in bit_vectors]
-    weights_f = [alpha_f[sum(b)] * 0.25 ** b[0] for b in bit_vectors]
+    counts = [k.bit_count() for k in range(n_keys)]
 
-    # The exact phase runs in integers: the weights scaled by D, the lcm of
-    # their denominators, and each table entry p/q by _TABLE_LCM. Bit vector
-    # i's table key b_1..b_{d-1} is entry i mod 2**(d-1) of each table.
-    scale = math.lcm(*(c.denominator for c in weights_q))
-    weights_z = [c.numerator * (scale // c.denominator) for c in weights_q]
-    key_index = [i % n_keys for i in range(len(bit_vectors))]
-    # The draws below consume the stream of rng.randint(-_TABLE_MAX_NUM,
-    # _TABLE_MAX_NUM), then rng.randint(1, _TABLE_MAX_DEN), and of
-    # rng.uniform(-1.0, 1.0), value for value: random.Random draws an integer
-    # below n by rejection on n.bit_length() random bits.
-    getrandbits, random_float = rng.getrandbits, rng.random
-    num_span = 2 * _TABLE_MAX_NUM + 1
-    num_bits, den_bits = num_span.bit_length(), _TABLE_MAX_DEN.bit_length()
-    worst = 0
+    # The nonzero folded weights over 4 * scale, each with the number of
+    # zero-weight keys before it in a table.
+    hot, last = [], -1
+    for k, c in enumerate(counts):
+        if w := 4 * alpha_z[c] + alpha_z[c + 1]:
+            hot.append((w, k - last - 1))
+            last = k
+    tail = n_keys - 1 - last
+
+    draws = random.Random(seed).getrandbits
+    words = 3 * min(trials * n_keys, _RUN) + 64  # an entry takes 2.89 words on average
+    top, pos, consumed = b"", 0, 0
+
+    def read(pattern: re.Pattern) -> re.Match:
+        nonlocal top, pos, consumed
+        while (match := pattern.match(top, pos)) is None:
+            fresh = draws(32 * words).to_bytes(4 * words, "little")
+            top, consumed, pos = top[pos:] + fresh[3::4], consumed + pos, 0
+        pos = match.end()
+        return match
+
+    def skip(entries: int) -> None:
+        while entries:
+            run = min(entries, _RUN)
+            read(re.compile(b"(?:%s){%d}" % (_ENTRY, run)))
+            entries -= run
+
+    worst = gap = 0
     for _ in range(trials):
-        beta_z = []
-        for _ in range(n_keys):
-            a = getrandbits(num_bits)
-            while a >= num_span:
-                a = getrandbits(num_bits)
-            b = getrandbits(den_bits)
-            while b >= _TABLE_MAX_DEN:
-                b = getrandbits(den_bits)
-            # The entry p/q with p = a - _TABLE_MAX_NUM and q = b + 1.
-            beta_z.append((a - _TABLE_MAX_NUM) * _TABLE_SCALE[b])
-        total = sum(map(operator.mul, weights_z, map(beta_z.__getitem__, key_index)))
+        total = 0
+        for w, before in hot:
+            skip(gap + before)
+            gap = 0
+            num, den = read(_ONE_ENTRY).groups()
+            p = (num[0] >> _NUM_SHIFT) - _TABLE_MAX_NUM
+            total += w * p * _TABLE_SCALE[den[0] >> _DEN_SHIFT]
+        gap += tail
         worst = max(worst, abs(total))
-    worst_rational = Fraction(worst, scale * _TABLE_LCM)
+    skip(gap)
 
+    rng = random.Random(seed)
+    rng.getrandbits(32 * (consumed + pos))
+    random_float = rng.random
+    # Bit vector (b_0, key) has the weight alpha_|b| * 4**(-b_0).
+    alpha_f = [float(a) for a in alpha]
+    weights_f = [alpha_f[c] for c in counts] + [alpha_f[c + 1] * 0.25 for c in counts]
     worst_float = 0.0
     for _ in range(trials):
         beta_f = [-1.0 + 2.0 * random_float() for _ in range(n_keys)]
         total_f = 0.0
-        for c, k in zip(weights_f, key_index):
-            total_f += c * beta_f[k]
+        for c, b in zip(weights_f, beta_f + beta_f):
+            total_f += c * b
         worst_float = max(worst_float, abs(total_f))
 
-    float_tol = 1e-12 * 2 ** d
-    passed = worst_rational == 0 and worst_float <= float_tol
-    defect: Union[Fraction, float]
-    defect = worst_rational if worst_rational != 0 else worst_float
-    return IdentityReport(
-        d=d,
-        identity="lemma_cancel",
-        max_abs_defect=defect,
-        passed=passed,
-        seed=seed,
-    )
+    passed = worst == 0 and worst_float <= 1e-12 * 2 ** d
+    defect = Fraction(worst, 4 * scale * _TABLE_LCM) if worst else worst_float
+    return IdentityReport(d, "lemma_cancel", defect, passed, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,25 @@ def level_mass_by_fraction_sum(terms) -> dict[int, Fraction]:
     return dict(sorted(masses.items()))
 
 
+def cancellation_literal(d: int, weights=None):
+    """The cancellation-system check as a literal Fraction loop over m, k and
+    l, with the given weights or else those from elimination. Returns the
+    IdentityReport the package's check must equal field for field."""
+    alpha = list(weights) if weights is not None else weights_by_elimination(d)
+    worst = Fraction(0)
+    for m in range(1, d + 1):
+        total = Fraction(0)
+        for k in range(d + 1):
+            inner = Fraction(0)
+            for l in range(max(0, m + k - d), min(m, k) + 1):
+                inner += Fraction(comb(m, l) * comb(d - m, k - l), 4 ** l)
+            total += alpha[k] * inner
+        worst = max(worst, abs(total))
+    return IdentityReport(
+        d=d, identity="cancellation_system", max_abs_defect=worst, passed=worst == 0
+    )
+
+
 def lemma_cancel_literal(d: int, trials: int = 100, seed: int = 0, weights=None):
     """The randomized telescoping check as a literal triple loop over trials,
     bit vectors and weights, in Fraction arithmetic, with the given weights

@@ -518,10 +518,20 @@ def test_band_plan_export_leaves_terms_unbuilt():
     (["plan", "--kind", "ho", "--dim", "2", "--n", "2"], "plan_ho_d2_n2.json"),
     (["plan", "--kind", "standard", "--dim", "3", "--n", "2"], "plan_standard_d3_n2.json"),
     (["verify", "--d-max", "8"], "verify_d8.txt"),
+    (["verify", "--d-max", "8", "--seed", "1"], "verify_d8_seed1.txt"),
 ])
 def test_stdout_matches_golden_file(argv, golden, capsys):
     assert run_main(argv) == EXIT_OK
     assert capsys.readouterr().out.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+def test_perturbed_verify_matches_golden_file(capsys):
+    # Every check fails with a nonzero Fraction defect, the randomized one's
+    # summed over every table key.
+    argv = ["verify", "--d-max", "5", "--seed", "7", "--perturb-alpha1", "1.0001"]
+    assert run_main(argv) == EXIT_VERIFY_FAILED
+    got = capsys.readouterr().out.encode("utf-8")
+    assert got == (DATA / "verify_d5_perturbed.txt").read_bytes()
 
 
 def _mask_runtime(text):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparsecombine.combine import extrapolation_weights, ho_plan, plan_to_dict
 from sparsecombine.verify import (
@@ -19,7 +20,7 @@ from sparsecombine.verify import (
 )
 from sparsecombine.combine import observed_order
 
-from oracles import lemma_cancel_literal
+from oracles import cancellation_literal, lemma_cancel_literal
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,38 @@ def test_cancellation_system_exact(d):
     rep = check_cancellation_system(d)
     assert rep.passed
     assert rep.max_abs_defect == 0
+
+
+def _alpha1_scaled(d, factor):
+    w = list(extrapolation_weights(d))
+    w[1] *= factor
+    return w
+
+
+_FACTORS = (Fraction(1), Fraction(10001, 10000), Fraction(3, 2), Fraction(0))
+
+
+@pytest.mark.parametrize("factor", _FACTORS)
+@pytest.mark.parametrize("d", range(1, 33))
+def test_cancellation_system_matches_literal(d, factor):
+    # Integer sums over the common denominator report the Fraction of the
+    # literal Fraction loop, zero included.
+    w = _alpha1_scaled(d, factor)
+    got = check_cancellation_system(d, weights=w)
+    want = cancellation_literal(d, weights=w)
+    assert got == want
+    assert type(got.max_abs_defect) is Fraction
+    assert got.passed is (factor == 1)
+
+
+@pytest.mark.parametrize("factor", _FACTORS)
+def test_normalization_matches_fraction_sum(factor):
+    for d in range(1, 65):
+        w = _alpha1_scaled(d, factor)
+        defect = sum(w[k] * math.comb(d, k) for k in range(d + 1)) - 1
+        rep = check_normalization(d, weights=w)
+        assert rep == IdentityReport(d, "normalization", abs(defect), defect == 0)
+        assert type(rep.max_abs_defect) is Fraction
 
 
 def test_cancellation_d1_hand_value():
@@ -88,6 +121,49 @@ def test_lemma_cancel_matches_literal_with_perturbed_weights(d, seed, factor):
     assert not got.passed
 
 
+_WEIGHT = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+def _telescoping(first, steps):
+    # A step of None continues the chain alpha_(p+1) = -4 alpha_p, which
+    # gives every key with |key| = p a folded weight of 0.
+    alpha = [first]
+    for v in steps:
+        alpha.append(-4 * alpha[-1] if v is None else v)
+    return alpha
+
+
+@st.composite
+def _dimension_and_weights(draw):
+    d = draw(st.integers(min_value=1, max_value=6))
+    steps = st.lists(st.none() | _WEIGHT, min_size=d, max_size=d)
+    return d, _telescoping(draw(_WEIGHT), draw(steps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_dimension_and_weights(),
+    trials=st.integers(min_value=1, max_value=4),
+    seed=st.integers(),
+)
+# Only the keys with |key| = 1 are nonzero: zero-weight runs inside a table
+# and across the boundary of two tables.
+@example(
+    case=(4, _telescoping(Fraction(1), [None, Fraction(2), None, None])), trials=3, seed=5
+)
+# A nonzero folded weight on every key.
+@example(case=(3, [Fraction(1)] * 4), trials=2, seed=0)
+def test_lemma_cancel_matches_literal_random_weights(case, trials, seed):
+    # Any weight vector and seed: the entries the bulk reader decodes and the
+    # runs it skips give the draw-by-draw oracle's report, and the float phase
+    # starts where the oracle's does.
+    d, w = case
+    got = check_lemma_cancel(d, trials=trials, seed=seed, weights=w)
+    want = lemma_cancel_literal(d, trials=trials, seed=seed, weights=w)
+    assert got == want
+    assert type(got.max_abs_defect) is type(want.max_abs_defect)
+
+
 def test_lemma_cancel_seed_reproducible():
     a = check_lemma_cancel(3, trials=50, seed=7)
     b = check_lemma_cancel(3, trials=50, seed=7)
@@ -123,6 +199,11 @@ def test_dimension_bounds_enforced():
         check_cancellation_system(33)
     with pytest.raises(ValueError):
         check_lemma_cancel(0)
+    # 2**16 bit vectors at most; the bound is checked before anything is built.
+    check_lemma_cancel(16, trials=1)
+    for d in (17, 40):
+        with pytest.raises(ValueError, match="1 <= d <= 16"):
+            check_lemma_cancel(d)
 
 
 def test_identity_report_str():
