@@ -428,6 +428,8 @@ def ho_plan(d: int, n: int) -> CombinationPlan:
     The standard plan is the case alpha = (1,). Levels whose coefficient is
     exactly zero are dropped. The support lies in { l : n <= |l|_1 <= n+2d-1 }.
     """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     if n < 1:
         raise ValueError("higher-order plan needs n >= 1")
     # extrapolation_weights(d): alpha_k = (-4)**k / (-3)**d.
@@ -636,9 +638,9 @@ def evaluate_plan(
     Each grid's values at the points are computed from its sine coefficients
     as by ``solve_at_points`` (or fetched from ``cache``), all grids reading
     one table of the points' cells and weights and, for separable data, one
-    cache of the factors' 1-D transforms, and all writing their grid-sized
-    stages into the same two buffers, all kept by ``cache`` for its later
-    evaluations; no nodal grid is formed.
+    cache of the factors' 1-D transforms, and all writing their quotients
+    and inverse stages into the same two buffers, all kept by ``cache`` for
+    its later evaluations; no nodal grid is formed.
     Grids with a zero level in some direction have no interior unknown under
     homogeneous Dirichlet data; their value is exactly 0.0, so they are
     neither solved nor summed. The other levels are solved one after another,

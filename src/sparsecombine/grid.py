@@ -110,8 +110,8 @@ class GridFunction:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _from_owned(cls, level: LevelIndex, arr: np.ndarray) -> "GridFunction":
-        # Internal no-copy constructor: the caller hands over ownership.
+    def _no_copy(cls, level: LevelIndex, arr: np.ndarray) -> "GridFunction":
+        # Internal no-copy constructor: the caller hands the array over.
         self = object.__new__(cls)
         flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
         flat.setflags(write=False)

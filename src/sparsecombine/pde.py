@@ -9,15 +9,15 @@ per direction, a pointwise division by summed eigenvalues, and the inverse
 transforms. Exact to rounding, no iteration tuning.
 
 One stage solves every grid (``_solve_along``): the sine coefficients, the
-division and the inverse transforms along the directions asked for, every
-one for ``solve_poisson``'s nodal grid. ``solve_at_points`` never forms that
-grid: the multilinear interpolant is linear in the nodal values and every
-nodal value is a sine sum. It asks for the longest direction only, blends
-each point's two node rows there and contracts the other directions'
-coefficients with one sine weight vector per point and direction. Those
-rows, blend weights and sine weight vectors depend only on the points and on
-one (direction, level) pair, so grids evaluated at the same points share
-them through one point table (``_PointTable``).
+division and at most one inverse transform. ``solve_poisson`` transforms its
+quotient back along every direction into the nodal grid. ``solve_at_points``
+never forms that grid: the multilinear interpolant is linear in the nodal
+values and every nodal value is a sine sum. It asks for the longest
+direction only, blends each point's two node rows there and contracts the
+other directions' coefficients with one sine weight vector per point and
+direction. Those rows, blend weights and sine weight vectors depend only on
+the points and on one (direction, level) pair, so grids evaluated at the
+same points share them through one point table (``_PointTable``).
 
 For separable data f = c * prod_j g_j(x_j) (``ProblemSpec.rhs_factors``) the
 right-hand side's sine coefficients are the outer product of the factors' 1-D
@@ -27,22 +27,25 @@ float64, and grids evaluated together share them per (direction, level).
 Where ``np.longdouble`` is float64 (Windows, macOS on arm64) they have
 float64 accuracy.
 
-A solve writes every grid-sized stage into the two float64 buffers of a
-workspace (``_Workspace``), shared with the factor transforms by the grids
-solved one after another. The numerator (the factors' outer product times
-c) and the eigenvalue denominator are each formed in one of them by one
-broadcast of the fold over the first d-1 directions with the last, in the
-fold's association order; the quotient overwrites the denominator. Every
-sine transform, forward (sampled data) or inverse, runs through one routine
-(``_transforms``): a direct stage is a matmul into the free buffer, an FFT
-stage an unscaled DST-I in place, its 1/2 folded with the inverse
-transforms' factors into one power of two 2**-(|l|_1 - d + FFT stages) on c
-(or on the quotient of sampled data), which scales every rounding exactly.
-So the values keep the bits of ``sine_transform`` applied to a new array at
-every stage, while no stage allocates an array as large as the grid: a fold
-over d-1 directions is at most a third of it (a last direction with one
-node is applied in place), the DST-I works through chunks of lines
-(``_FFT_CHUNK_ENTRIES``), and sampled data is copied, never written.
+A solve forms the quotient of the right-hand side's sine coefficients by the
+summed eigenvalues in the two float64 buffers of a workspace
+(``_Workspace``), shared with the factor transforms by the grids solved one
+after another. The numerator (the factors' outer product times c) and the
+eigenvalue denominator are each formed in one of them by one broadcast of
+the fold over the first d-1 directions with the last, in the fold's
+association order (a fold over d-1 directions is at most a third of the
+grid; a last direction with one node is applied in place); the quotient
+overwrites the denominator. At most one inverse stage runs there, along the
+longest direction: a matmul into the other buffer, or an unscaled DST-I in
+place on buffers laid out with that direction last in memory, its 1/2 folded
+with the inverse transforms' factors into one power of two
+2**-(|l|_1 - d + 1) on c (or on the quotient of sampled data), which scales
+every rounding exactly. Sampled data's forward transforms (in the
+workspace's FFT chunk buffers) and ``solve_poisson``'s inverse ones run
+stage by stage through ``sine_transform``'s body into new arrays. Every
+DST-I works through chunks of lines (``_FFT_CHUNK_ENTRIES``). So every value
+keeps the bits of ``sine_transform`` applied to a new array at every stage,
+and sampled data is never written.
 
 The DST-I (``_dst1``) is the one pocketfft computes, run through numpy's
 own pocketfft (``numpy.fft.rfft``, numpy >= 2.0 for its ``out=`` and its
@@ -92,8 +95,8 @@ DIRECT_TRANSFORM_MAX = 64
 _CHUNK_ENTRIES = 2 ** 14
 _TABLE_ENTRIES = 64 * _CHUNK_ENTRIES
 
-# The FFT-path lines of one chunk hold about _FFT_CHUNK_ENTRIES entries once
-# extended for their DST-I (or one line when that is longer).
+# The FFT-path lines of one chunk hold at most about _FFT_CHUNK_ENTRIES
+# entries once extended for their DST-I (or one line when that is longer).
 _FFT_CHUNK_ENTRIES = 2 ** 15
 
 
@@ -328,25 +331,29 @@ def sine_transform(a: np.ndarray, axis: int) -> np.ndarray:
     Small sizes use the direct matrix, larger ones the FFT-based transform
     (:func:`_dst1`, with the bits of 0.5 * ``scipy.fft.dst(a, type=1)``).
     """
+    return _sine_transform(a, axis, None)
+
+
+def _sine_transform(a: np.ndarray, axis: int, work: Optional[_Workspace]) -> np.ndarray:
+    # sine_transform's body; an FFT stage runs in ``work``'s chunk buffers
+    # when given.
     if a.shape[axis] <= DIRECT_TRANSFORM_MAX:
         return _direct_transform(a, axis)
     out = np.array(a, dtype=np.result_type(a, 1.0), order="C")
-    _dst1(out, axis)
+    _dst1(out, axis, work)
     out *= 0.5
     return out
 
 
-def _lines(x: np.ndarray, axis: int) -> Optional[np.ndarray]:
+def _lines(x: np.ndarray, axis: int) -> np.ndarray:
     # x as an (I, m, J) view holding x's lines along ``axis`` as [i, :, j]:
     # one row of unit-stride lines (I = 1) when ``axis`` is x's last in
-    # memory, else C-ordered x's. None for any other layout.
+    # memory, else C-ordered x's (x must be one of the two).
     m = x.shape[axis]
     moved = x.transpose(_axis_order(x.ndim, axis, -1))
     if moved.flags.c_contiguous:
         return moved.reshape(1, -1, m).transpose(0, 2, 1)
-    if x.flags.c_contiguous:
-        return x.reshape(math.prod(x.shape[:axis]), m, -1)
-    return None
+    return x.reshape(math.prod(x.shape[:axis]), m, -1)
 
 
 def _dst1(x: np.ndarray, axis: int, work: Optional[_Workspace] = None) -> None:
@@ -355,15 +362,17 @@ def _dst1(x: np.ndarray, axis: int, work: Optional[_Workspace] = None) -> None:
 
     ``x`` is C-ordered or has ``axis`` last in memory (:func:`_lines`). Its
     lines are copied in chunks of about ``_FFT_CHUNK_ENTRIES`` entries (or
-    one line) into a real and a complex array, ``work``'s float64 ones when
-    given, and numpy's pocketfft transforms each line on its own, in
+    one line), but no more lines than a row of the view holds, so that a
+    few short lines do not fill and zero a full-sized chunk, into a real
+    and a complex array, ``work``'s float64 ones when given, and numpy's
+    pocketfft transforms each line on its own, in
     ``x``'s precision. So a line's bits depend neither on the layout nor on
     the chunk, and match ``scipy.fft.dst(type=1)``, which runs the same code.
     """
     view = _lines(x, axis)
     count, m, width = view.shape
     n = 2 * m + 2
-    rows = max(1, _FFT_CHUNK_ENTRIES // n)
+    rows = max(1, min(_FFT_CHUNK_ENTRIES // n, width))
     if work is not None and x.dtype == np.float64:
         ext, spec = work.fft_buffers(rows, n)
     else:
@@ -443,13 +452,15 @@ class _Workspace:
     """What the grids solved for one problem share, whatever their points:
     the 1-D factor transforms of separable data (``factors``, per (direction,
     level value), see :func:`_factor_coefficients`) and two float64 work
-    buffers that receive every grid-sized stage of a solve.
+    buffers that receive a solve's numerator, quotient and inverse stage
+    (:func:`_solve_along`).
 
     The buffers grow to exactly the size reserved, and only when a larger
     grid comes, so they hold at most two copies of the largest grid. What
-    :meth:`buffers` returns is overwritten by the next grid. The FFT stages
-    reuse a real and a complex chunk buffer (:meth:`fft_buffers`), about
-    ``_FFT_CHUNK_ENTRIES`` entries each or one extended line.
+    :meth:`buffers` returns is overwritten by the next grid. Every FFT stage
+    run with the workspace reuses a real and a complex chunk buffer
+    (:meth:`fft_buffers`), at most about ``_FFT_CHUNK_ENTRIES`` entries each
+    or one extended line.
 
     ``last`` is (level, problem, nodal array) of the last grid solved, its
     nodal array being a view of a buffer, when that grid took the FFT path,
@@ -499,82 +510,54 @@ def _uses_fft(m: int) -> bool:
     return m > DIRECT_TRANSFORM_MAX
 
 
-def _transforms(
-    a: np.ndarray, axes, held: np.ndarray, free: np.ndarray, owned: bool, work: _Workspace
-):
-    """:func:`sine_transform` of ``a`` along each of ``axes`` without the 1/2
-    of its FFT path, in the buffers ``held`` and ``free`` of a's shape,
-    C-ordered or with the one FFT axis last in memory; ``a`` is a view of
-    ``held`` when ``owned``, else never written. Returns the transform, the
-    buffer holding it (``held`` if no stage ran) and the other one.
-
-    Directions with one node (a 1x1 identity) are skipped. A direct stage
-    writes its product into the free buffer, laid out as a new product array
-    (:func:`_direct_transform`); an FFT stage runs the DST-I in place
-    (:func:`_dst1`, in ``work``'s chunk buffers), copying its input into the
-    free one unless it owns it C-ordered or with the axis last in memory. So
-    every direct stage reads the layout that sine_transform's new arrays
-    would give it, and every stage has, up to a power of two, their bits.
-    """
-    for axis in axes:
-        m = a.shape[axis]
-        if m == 1:
-            continue
-        if not _uses_fft(m):
-            a = _direct_transform(a, axis, out=free)
-            held, free = free, held
-        else:
-            if not owned or _lines(a, axis) is None:
-                np.copyto(free, a)
-                a, held, free = free, free, held
-            _dst1(a, axis, work)
-        owned = True
-    return a, held, free
-
-
 def _solve_along(
-    p: ProblemSpec, level: LevelIndex, work: _Workspace, axes, f_int=None
+    p: ProblemSpec, level: LevelIndex, work: _Workspace, axis: Optional[int], f_int=None
 ) -> np.ndarray:
-    """The discrete solution of ``p`` on ``level``, nodal along ``axes`` and
-    sine coefficients in the other directions: a view of one of ``work``'s
-    buffers, overwritten by the next solve.
+    """The discrete solution of ``p`` on ``level`` in sine coefficients,
+    transformed back to nodal values along ``axis`` unless it is None: a view
+    of one of ``work``'s buffers, overwritten by the next solve.
 
     The right-hand side's coefficients are, for separable data, c times the
     outer product of its factors' transforms (:func:`_factor_coefficients`,
-    cached in ``work.factors``), otherwise the transforms of the interior data
-    ``f_int`` (sampled when not given) along every direction. The summed
-    eigenvalues are formed in the buffer that does not hold them, the
-    quotient overwrites them and is transformed along ``axes``. The factors
-    2**(1-l) of the inverse transforms and the 1/2 of every FFT stage make
-    one power of two, 2**-(|l|_1 - d + FFT stages), which scales every
-    rounding exactly (barring underflow to subnormals): it is folded into c,
-    or for sampled data applied to the quotient.
+    cached in ``work.factors``) formed in the first buffer, otherwise the
+    :func:`sine_transform` of the interior data ``f_int`` (sampled when not
+    given) along every direction, stage by stage into new arrays. The summed
+    eigenvalues are formed in the second buffer and the quotient overwrites
+    them. The factors 2**(1-l) of the inverse transforms and the 1/2 of an
+    FFT stage along ``axis`` make one power of two, 2**-(|l|_1 - d + 1) or
+    2**-(|l|_1 - d) without one, which scales every rounding exactly
+    (barring underflow to subnormals): it is folded into c, or for sampled
+    data applied to the quotient.
 
-    A lone FFT-path inverse transform (separable data, one of ``axes``) runs
-    on buffers laid out with that direction last in memory, so its lines are
-    contiguous; the folds and the division do not depend on the layout.
+    The stage along ``axis`` is a matmul into the first buffer on the direct
+    path and the unscaled DST-I in place on the FFT path, whose buffers are
+    laid out with ``axis`` last in memory, so its lines are contiguous; the
+    folds and the division do not depend on the layout.
     """
     shape = tuple(2 ** v - 1 for v in level)
-    fft = [j for j in range(level.dim) if _uses_fft(shape[j])]
+    fft = axis is not None and _uses_fft(shape[axis])
+    spare, quotient = work.buffers(shape, axis if fft else None)
+    scale = 2.0 ** -(sum(level) - level.dim + fft)
     if p.rhs_factors is not None:
-        last = axes[0] if len(axes) == 1 and axes[0] in fft else None
-        held, free = work.buffers(shape, last)
         factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
-        _outer_into(np.multiply, factors, held)
-        numer, stages, c = held, axes, p.rhs_factors[0]
+        numer = spare
+        _outer_into(np.multiply, factors, numer)
+        numer *= p.rhs_factors[0] * scale
     else:
-        held, free = work.buffers(shape)
-        f_int = _sample_interior_rhs(p, level) if f_int is None else f_int
-        numer, held, free = _transforms(f_int, range(level.dim), held, free, False, work)
-        stages, c = [*range(level.dim), *axes], None
-    scale = 2.0 ** -(sum(level) - level.dim + sum(j in fft for j in stages))
-    if c is not None:
-        numer *= c * scale
-    _outer_into(np.add, [_eigenvalues_1d(v) for v in level], free)
-    np.divide(numer, free, out=free)
-    if c is None:
-        free *= scale
-    return _transforms(free, axes, free, held, True, work)[0]
+        numer = _sample_interior_rhs(p, level) if f_int is None else f_int
+        for j, v in enumerate(level):
+            if v > 1:  # a direction with one node is a 1x1 identity
+                numer = _sine_transform(numer, j, work)
+    _outer_into(np.add, [_eigenvalues_1d(v) for v in level], quotient)
+    np.divide(numer, quotient, out=quotient)
+    if p.rhs_factors is None:
+        quotient *= scale
+    if axis is None:
+        return quotient
+    if fft:
+        _dst1(quotient, axis, work)
+        return quotient
+    return _direct_transform(quotient, axis, out=spare)
 
 
 def _sine_weights(m: int, cells: np.ndarray, fracs: np.ndarray) -> np.ndarray:
@@ -741,14 +724,14 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
 
     Returns the nodal solution (boundary entries exactly 0) and a report whose
     max-norm interior residual is measured when first read (``solve_seconds``
-    does not include it). The solve is :func:`_solve_along` with the inverse
-    transforms along every direction, in the two buffers of a fresh
-    workspace, its FFT stages numpy's (scipy is not imported): a direct
-    method, exact up to rounding, so re-solving against the measured
-    residual cannot improve the stored solution and is never attempted. The
-    reported residual is the honestly measured value; note that evaluating
-    the stencil in float64 scales nodal values by h_k^-2 before
-    cancellation, so on strongly anisotropic grids
+    does not include it). The solve is the quotient of :func:`_solve_along`,
+    formed in the two buffers of a fresh workspace, transformed back along
+    every direction by :func:`sine_transform` stage by stage, its FFT stages
+    numpy's (scipy is not imported): a direct method, exact up to rounding,
+    so re-solving against the measured residual cannot improve the stored
+    solution and is never attempted. The reported residual is the honestly
+    measured value; note that evaluating the stencil in float64 scales nodal
+    values by h_k^-2 before cancellation, so on strongly anisotropic grids
     (max l_j >= ~12) the measurement itself saturates near
     eps * sum_k h_k^-2 * (1 + max|u_h|) even though the solution is accurate.
     """
@@ -760,10 +743,16 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
         _rfft()
     t0 = time.perf_counter()
     f_int = _sample_interior_rhs(p, level)
-    interior = _solve_along(p, level, _Workspace(), range(level.dim), f_int)
+    # The quotient's workspace is dropped when _solve_along returns, and each
+    # stage's input once the next stage is formed, so that the sampled data,
+    # a stage's input and its output are the only grid-sized arrays live.
+    interior = _solve_along(p, level, _Workspace(), None, f_int)
+    for j, v in enumerate(level):
+        if v > 1:
+            interior = sine_transform(interior, j)
     full = np.zeros(level.points_per_direction())
     full[tuple(slice(1, -1) for _ in level)] = interior
-    grid = GridFunction._from_owned(level, full)
+    grid = GridFunction._no_copy(level, full)
     report = SolverReport(
         level=level, solve_seconds=time.perf_counter() - t0, rhs=f_int, grid=grid
     )
@@ -813,7 +802,7 @@ def _solve_at_table(
     nodal = _partner_nodal(p, level, work) if fft else None
     if nodal is None:
         work.last = None
-        nodal = _solve_along(p, level, work, (a,))
+        nodal = _solve_along(p, level, work, a)
     if fft:
         work.last = (level, p, nodal)
     return _interpolate_nodal(nodal, level, a, table)
@@ -861,4 +850,4 @@ def apply_operator(g: GridFunction) -> GridFunction:
     out = np.zeros(level.points_per_direction())
     core = tuple(slice(1, -1) for _ in level)
     out[core] = _stencil_interior(g.ndview(), inv_h2)
-    return GridFunction._from_owned(level, out)
+    return GridFunction._no_copy(level, out)

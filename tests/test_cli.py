@@ -11,8 +11,10 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparsecombine
 from sparsecombine.cli import (
@@ -352,6 +354,26 @@ def test_cmd_plan_stream():
         assert cmd_plan(2, 3, "standard") == EXIT_OK
     payload = json.loads(buf.getvalue())
     assert payload["coefficient_sum"] == "1/1"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["standard", "ho", "weird"]),
+    st.integers(min_value=-3, max_value=6),
+    st.integers(min_value=-2, max_value=7),
+)
+def test_plan_command_contract(kind, dim, n):
+    # Whatever its kind, dimension and level, plan exits 0, 2 (more terms
+    # than the budget) or 3 (bad input) without a traceback, and prints a
+    # plan only when its coefficients sum to 1.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_main(["plan", "--kind", kind, "--dim", str(dim), "--n", str(n)])
+    assert code in (EXIT_OK, EXIT_BUDGET, EXIT_BAD_CONFIG)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == EXIT_OK:
+        assert json.loads(out.getvalue())["coefficient_sum"] == "1/1"
 
 
 def json_dump_bytes(plan, n):

@@ -305,6 +305,9 @@ def test_class_table_matches_accumulated_sums(d):
 def test_ho_plan_rejects_n_zero():
     with pytest.raises(ValueError):
         ho_plan(2, 0)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            ho_plan(d, 1)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2), (4, 2)])

@@ -168,6 +168,14 @@ def test_dst1_matches_scipy_bits(v, chunk, monkeypatch):
             assert sine_transform(a, axis).tobytes() == (0.5 * _scipy_dst1(a, axis)).tobytes()
 
 
+def test_dst1_chunk_holds_only_the_lines_there_are():
+    # Three lines of 255 entries fill chunk buffers of three extended lines,
+    # not of about _FFT_CHUNK_ENTRIES entries to be allocated and zeroed.
+    work = _Workspace()
+    pde._dst1(np.ones((255, 3)), 0, work)
+    assert [buf.size for buf in work._fft] == [3 * 512, 3 * 257]
+
+
 def _scipy_factor_coefficients(g):
     # 0.5 DST-I of a factor in np.longdouble, rounded once, through scipy.
     work = np.array(g, dtype=np.longdouble)
@@ -647,7 +655,9 @@ def _fresh_array_solve(p, level, axes):
     # The solve with a new array at every stage: the outer products of
     # oracles.outer, the division into a new array and sine_transform
     # (0.5 * DST-I on the FFT path), forward for sampled data and inverse
-    # along ``axes``.
+    # along ``axes``; the solver forms the quotient in two buffers with the
+    # inverse stage's powers of two folded into one, and runs the other
+    # stages as here.
     if p.rhs_factors is not None:
         factors = [_factor_coefficients(p, j, level, {}) for j in range(level.dim)]
         numer = outer(np.multiply, factors)
@@ -676,12 +686,12 @@ def _fresh_array_point_values(p, level, pts):
 @pytest.mark.bits
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_solve_poisson_bit_identical(d):
-    # solve_poisson's nodal grid, every stage of which runs in two buffers
-    # with the FFT stages' 1/2 folded into the denominator, has the bits of
-    # the solve with a new array at every stage, and exact zeros on the
-    # boundary; for the built-in problem, its sampled-only twin and separable
-    # data given by factors and sampled, on grids whose directions mix the
-    # FFT path (m >= 127), the direct one and single nodes.
+    # solve_poisson's nodal grid, its quotient formed in two buffers and
+    # transformed back by sine_transform stage by stage, has the bits of the
+    # solve with a new array at every stage, and exact zeros on the boundary;
+    # for the built-in problem, its sampled-only twin and separable data
+    # given by factors and sampled, on grids whose directions mix the FFT
+    # path (m >= 127), the direct one and single nodes.
     rng = np.random.default_rng(40 + d)
     tops = {1: (1, 3, 7, 9), 2: (6, 7, 8), 3: (6, 7, 8), 4: (6, 7)}[d]
     levels = {
@@ -709,13 +719,16 @@ def test_solve_poisson_bit_identical(d):
 @pytest.mark.bits
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_workspace_reuse_bit_identical(d):
-    # Grids solved one after another into one workspace's two buffers, in
-    # ascending, descending and shuffled order, give the bits of a fresh
-    # solve_at_points and of the solve with a new array at every stage,
-    # although the workspace runs the FFT-path DST-I in place with its 1/2
-    # folded into the denominator. The longest directions take the FFT path
-    # (m >= 127) and the direct one, and the grid sizes go up and down; the
-    # buffers end at exactly the largest grid's size.
+    # Grids solved one after another into one workspace's two buffers and
+    # chunk buffers, in ascending, descending and shuffled order, give the
+    # bits of a fresh solve_at_points and of the solve with a new array at
+    # every stage, although the workspace runs the FFT-path inverse DST-I in
+    # place with its 1/2 folded into one power of two: for the built-in
+    # problem, its sampled-only twin and separable data given by factors and
+    # sampled (the sampled grids' forward transforms share the chunk
+    # buffers). The longest directions take the FFT path (m >= 127) and the
+    # direct one, and the grid sizes go up and down; the buffers end at
+    # exactly the largest grid's size.
     rng = np.random.default_rng(20 + d)
     pts = rng.uniform(0.0, 1.0, size=(7, d))
     levels = sorted({
@@ -724,7 +737,9 @@ def test_workspace_reuse_bit_identical(d):
     } | {LevelIndex((1,) * d)})
     assert any(2 ** max(lv) - 1 > DIRECT_TRANSFORM_MAX for lv in levels)
     assert any(1 < 2 ** max(lv) - 1 <= DIRECT_TRANSFORM_MAX for lv in levels)
-    for p in (builtin_sine_problem(d), *_separable_problems(d, d)):
+    builtin = builtin_sine_problem(d)
+    sampled = ProblemSpec(dim=d, rhs=builtin.rhs, rhs_grid=builtin.rhs_grid)
+    for p in (builtin, sampled, *_separable_problems(d, d)):
         fresh = {lv: solve_at_points(p, lv, pts) for lv in levels}
         for lv in levels:
             assert _fresh_array_point_values(p, lv, pts).tobytes() == fresh[lv].tobytes()
