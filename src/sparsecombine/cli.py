@@ -25,6 +25,7 @@ from .combine import (
     BudgetExceededError,
     ConvergenceRecord,
     PlanEvaluationError,
+    _count_text,
     default_eval_point,
     extrapolation_weights,
     hierarchical_surplus_study,
@@ -193,7 +194,10 @@ def cmd_verify(
     Fraction or its text, such as "1.0001") before checking, to demonstrate
     that a corrupted weight set is caught.
     """
-    factor = None if perturb_alpha1 is None else Fraction(perturb_alpha1)
+    try:
+        factor = None if perturb_alpha1 is None else Fraction(perturb_alpha1)
+    except ZeroDivisionError:
+        raise ValueError(f"factor {perturb_alpha1!r} has a zero denominator") from None
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
 
@@ -264,7 +268,7 @@ def cmd_solve(
     budget = _default_budget()
     if lv.node_count() > budget:
         raise BudgetExceededError(
-            f"level {tuple(lv)} has {lv.node_count()} nodes, budget is {budget}",
+            f"level {tuple(lv)} has {_count_text(lv.node_count())} nodes, budget is {budget}",
             projected=lv.node_count(),
             budget=budget,
         )

@@ -97,7 +97,9 @@ class BudgetExceededError(RuntimeError):
     """A projected node total exceeds the configured budget.
 
     Carries the records already completed (``records``) so callers can flush
-    partial results, plus the offending projection and the budget.
+    partial results, plus the offending projection and the budget. A study
+    record refused by its grid (n+s, s, ..., s) alone carries that grid's
+    node count, a lower bound of the projection, as ``projected``.
     """
 
     def __init__(
@@ -125,6 +127,11 @@ class PlanEvaluationError(RuntimeError):
 
 def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
+
+
+def _count_text(count: int) -> str:
+    # str() of an int raises ValueError past 4300 digits.
+    return str(count) if count.bit_length() <= 64 else f"over 2**{count.bit_length() - 1}"
 
 
 class CombinationPlan:
@@ -524,7 +531,8 @@ def _level_sums(d: int, top: int, weight: Callable[[int], int]) -> list[list[int
         scale = comb(d, p) * weight(0) ** (d - p)
         for t in range(p, top + 1):
             sums[t][p] = scale * power[t]
-        power = [sum(power[i] * q[t - i] for i in range(t)) for t in range(top + 1)]
+        if p < d:  # Q**p has no term below x**p; Q**d is the last power read.
+            power = [sum(power[i] * q[t - i] for i in range(p, t)) for t in range(top + 1)]
     return sums
 
 
@@ -613,7 +621,6 @@ class EvaluationResult:
     dof_total: int
     dof_unique: int
     grids_solved: int
-    seconds: float
 
     @property
     def value(self) -> float:
@@ -657,7 +664,6 @@ def evaluate_plan(
     if p.dim != plan.dim:
         raise ValueError(f"problem is {p.dim}-dimensional, plan is {plan.dim}")
     pts = _checked_points(x, plan.dim)
-    t0 = time.perf_counter()
 
     dof_total = _node_total(plan)
     if node_budget is not None and dof_total > node_budget:
@@ -706,7 +712,6 @@ def evaluate_plan(
         dof_total=dof_total,
         dof_unique=sum(lv.node_count() for lv in newly_solved),
         grids_solved=len(newly_solved),
-        seconds=time.perf_counter() - t0,
     )
 
 
@@ -734,8 +739,6 @@ def _split2d_plan(d: int, n: int, s: int) -> CombinationPlan:
     # The 2D three-grid formula 4/3 u^(1) + 4/3 u^(2) - 5/3 u_h, u^(k) being
     # the solution with direction k refined once; fourth order on isotropic
     # grids only.
-    if d != 2:
-        raise ValueError("method SPLIT2D requires dim = 2")
     base = _isotropic(2, n + s)
     return CombinationPlan(
         2,
@@ -771,11 +774,22 @@ def method_plan(method: str, d: int, n: int, level_shift: int) -> CombinationPla
     three-grid splitting extrapolation of grid (n, n). ``method`` is
     case-insensitive; an unknown method or shift raises ValueError.
     """
+    build = _plan_builder(method, d)
+    _check_level_shift(level_shift)
+    return build(d, n, level_shift)
+
+
+def _plan_builder(method: str, d: int) -> Callable[[int, int, int], CombinationPlan]:
+    # The plan builder of ``method`` in d dimensions; ValueError for an
+    # unknown method or a dimension it does not take.
     build = _METHOD_PLANS.get(method.upper())
     if build is None:
         raise ValueError(f"unknown method {method!r}; expected one of {STUDY_METHODS}")
-    _check_level_shift(level_shift)
-    return build(d, n, level_shift)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if build is _split2d_plan and d != 2:
+        raise ValueError("method SPLIT2D requires dim = 2")
+    return build
 
 
 def _check_level_shift(level_shift) -> None:
@@ -865,6 +879,7 @@ def hierarchical_surplus_study(
     if n_min < 0:
         raise ValueError("n_min must be >= 0")
     _check_level_shift(level_shift)
+    build = _plan_builder(method, d)
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
     if surplus_points < 0:
@@ -881,11 +896,15 @@ def hierarchical_surplus_study(
     records: list[ConvergenceRecord] = []
     prev_vec: Optional[np.ndarray] = None
     for n in range(n_min, n_max + 1):
-        projected = projected_dof_total(method, d, n, level_shift)
+        # Grid (n+s, s, ..., s), a term of the SG and HOSG plans and no larger
+        # than a term of the others, refuses a hopeless record in O(d) work.
+        projected = LevelIndex((n + level_shift,) + (level_shift,) * (d - 1)).node_count()
+        if projected <= node_budget:
+            projected = projected_dof_total(method, d, n, level_shift)
         if projected > node_budget:
             raise BudgetExceededError(
                 f"{method} d={d} n={n} (shift {level_shift}) projects "
-                f"{projected} nodes, budget is {node_budget}; "
+                f"{_count_text(projected)} nodes, budget is {node_budget}; "
                 f"{len(records)} records completed",
                 projected=projected,
                 budget=node_budget,
@@ -893,8 +912,8 @@ def hierarchical_surplus_study(
                 n=n,
             )
         t0 = time.perf_counter()
-        plan = method_plan(method, d, n, level_shift)
-        result = evaluate_plan(p, plan, pts, cache, node_budget=node_budget)
+        plan = build(d, n, level_shift)
+        result = evaluate_plan(p, plan, pts, cache)
         # The surplus compares the sample points' values, or the value at x.
         vec = np.array(result.values[1:] if surplus_points else result.values)
         runtime = time.perf_counter() - t0
@@ -908,7 +927,6 @@ def hierarchical_surplus_study(
                 dof_unique=result.dof_unique,
                 dof_total=result.dof_total,
                 value=result.value,
-                surplus=None,
                 runtime_s=runtime,
             )
         )

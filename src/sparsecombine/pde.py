@@ -82,7 +82,6 @@ __all__ = [
     "solve_poisson",
     "solve_at_points",
     "apply_operator",
-    "sine_transform",
 ]
 
 # Largest 1D size solved with the direct O(M^2) sine matrix; larger sizes use

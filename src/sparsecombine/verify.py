@@ -172,7 +172,8 @@ def check_lemma_cancel(
     Runs ``trials`` random tables twice: with small rational entries (defect
     must be exactly 0) and with float entries in [-1, 1] and float64 weights
     (defect must stay within 1e-12 * 2**d). ``trials`` must be at least 1: a
-    check that draws no table would pass vacuously; ``d`` is at most 16.
+    check that draws no table would pass vacuously; it is at most 100,000,
+    which keeps ``verify --d-max 8`` within seconds; ``d`` is at most 16.
 
     The exact phase folds bit vectors (0, key) and (1, key) into one integer
     weight, alpha_|key| + alpha_(|key|+1) / 4 over a common denominator (0 for
@@ -188,7 +189,13 @@ def check_lemma_cancel(
         raise ValueError("lemma_cancel check supports 1 <= d <= 16")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > 100_000:
+        raise ValueError("trials must be <= 100000")
     alpha = _weights_for(d, weights)
+    try:
+        alpha_f = [float(a) for a in alpha]
+    except OverflowError:
+        raise ValueError("weights must be within the float64 range") from None
     alpha_z, scale = _integer_weights(alpha)
     n_keys = 2 ** (d - 1)
     counts = [k.bit_count() for k in range(n_keys)]
@@ -237,7 +244,6 @@ def check_lemma_cancel(
     rng.getrandbits(32 * (consumed + pos))
     random_float = rng.random
     # Bit vector (b_0, key) has the weight alpha_|b| * 4**(-b_0).
-    alpha_f = [float(a) for a in alpha]
     weights_f = [alpha_f[c] for c in counts] + [alpha_f[c + 1] * 0.25 for c in counts]
     worst_float = 0.0
     for _ in range(trials):

@@ -33,6 +33,7 @@ from sparsecombine.cli import (
 )
 from sparsecombine.combine import (
     DEFAULT_NODE_BUDGET,
+    STUDY_METHODS,
     CombinationPlan,
     ConvergenceRecord,
     PlanEvaluationError,
@@ -56,6 +57,40 @@ def run_main(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def run_contract(argv, budget="5000"):
+    """Run argv under a small SPARSECOMBINE_BUDGET; returns (code, stdout).
+
+    The contract of every command: exit 0 (ok), 1 (verification failed), 2
+    (over the budget) or 3 (bad input), and never a traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: budget}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_BUDGET, EXIT_BAD_CONFIG)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue()
+
+
+@st.composite
+def mostly(draw, good, bad):
+    """A draw of ``good`` four times in five, else one of the edge values
+    ``bad`` (shrinking toward ``good``)."""
+    if draw(st.integers(0, 4)) < 4:
+        return draw(good)
+    return draw(st.sampled_from(bad))
+
+
+@st.composite
+def point_flag(draw, dim):
+    """The --point flag and its value for a dim-dimensional command, or none."""
+    coords = st.lists(st.sampled_from(["0.25", "0.5", "0.7", "0", "1"]),
+                      min_size=max(dim, 0), max_size=max(dim, 0)).map(",".join)
+    point = draw(mostly(st.one_of(st.none(), st.just("auto"), coords),
+                        ["nan,0.5", "inf", "-0.1", "0.5,0.5,0.5,0.5,0.5", "", "x"]))
+    return [] if point is None else [f"--point={point}"]
 
 
 def read_csv(path):
@@ -277,6 +312,52 @@ def test_study_nan_point_exits_3_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+@st.composite
+def study_argv(draw):
+    dim = draw(mostly(st.integers(1, 4), [0, -1]))
+    n_min = draw(mostly(st.integers(0, 6), [-1, 10 ** 5]))
+    n_max = n_min + draw(mostly(st.integers(0, 3), [-1]))
+    argv = ["study", f"--method={draw(mostly(st.sampled_from(STUDY_METHODS), ['weird', '']))}",
+            f"--dim={dim}", f"--n-min={n_min}", f"--n-max={n_max}",
+            f"--level-shift={draw(mostly(st.sampled_from([0, 1]), [2, -1]))}",
+            f"--surplus-points={draw(mostly(st.integers(0, 3), [-1, 'x']))}"]
+    argv += draw(mostly(st.one_of(st.just([]), st.integers(1, 5000).map(
+        lambda b: [f"--budget={b}"])), [["--budget=0"], ["--budget=-1"]]))
+    argv += draw(point_flag(dim))
+    return argv, n_min, n_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(study_argv())
+def test_study_command_contract(drawn):
+    # A study exits 0 only with one record per n, and 2 only with the records
+    # before the refused n.
+    argv, n_min, n_max = drawn
+    code, out = run_contract(argv)
+    assert code != EXIT_VERIFY_FAILED
+    ns = [int(row["n"]) for row in csv.DictReader(
+        line for line in out.splitlines() if not line.startswith("#"))]
+    if code == EXIT_OK:
+        assert ns == list(range(n_min, n_max + 1))
+    elif code == EXIT_BUDGET:
+        assert ns == list(range(n_min, n_min + len(ns)))
+
+
+@pytest.mark.parametrize("method", ["SG", "HOSG"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_study_refuses_hopeless_record_at_once(method, dim, capsys):
+    # Grid (n+1, 1, ..., 1) alone puts n = 100000 over the budget; the
+    # projection's O(n**2 * d) big-integer products are never started.
+    t0 = time.perf_counter()
+    argv = ["study", "--method", method, "--dim", str(dim),
+            "--n-min", "100000", "--n-max", "100000"]
+    assert run_main(argv) == EXIT_BUDGET
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget guard: {method} d={dim} n=100000 (shift 1) projects over 2**")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -320,6 +401,39 @@ def test_verify_rejects_trials_below_one(trials, capsys):
     assert "trials must be >= 1" in captured.err
     assert "checks passed" not in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("trials", ["100001", "100000000000"])
+def test_verify_rejects_trials_above_bound(trials, capsys):
+    # 10**5 tables bound the randomized check's run time; a larger count is
+    # refused before any table is drawn.
+    t0 = time.perf_counter()
+    assert run_main(["verify", "--d-max", "2", "--trials", trials]) == EXIT_BAD_CONFIG
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert "trials must be <= 100000" in captured.err
+    assert "checks passed" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mostly(st.integers(1, 10), [0, -2, 33, "x"]),
+    mostly(st.integers(1, 20), [0, -1, 100_001, 10 ** 11, "x"]),
+    mostly(st.integers(-3, 3), ["x"]),
+    mostly(st.sampled_from([None, "1", "101/100", "-1", "0"]), ["1/0", "1e400", "nan", "inf", ""]),
+)
+def test_verify_command_contract(d_max, trials, seed, factor):
+    # verify exits 0 only when every check it ran passed: one normalization
+    # and one cancellation check per d, and a randomized one per d <= 8.
+    argv = ["verify", f"--d-max={d_max}", f"--trials={trials}", f"--seed={seed}"]
+    if factor is not None:
+        argv.append(f"--perturb-alpha1={factor}")
+    code, out = run_contract(argv)
+    assert code != EXIT_BUDGET
+    if code == EXIT_OK:
+        checks = 2 * d_max + min(d_max, 8)
+        assert out.splitlines()[-1] == f"{checks}/{checks} checks passed"
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +480,12 @@ def test_plan_command_contract(kind, dim, n):
     # Whatever its kind, dimension and level, plan exits 0, 2 (more terms
     # than the budget) or 3 (bad input) without a traceback, and prints a
     # plan only when its coefficients sum to 1.
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_main(["plan", "--kind", kind, "--dim", str(dim), "--n", str(n)])
-    assert code in (EXIT_OK, EXIT_BUDGET, EXIT_BAD_CONFIG)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    code, out = run_contract(
+        ["plan", "--kind", kind, "--dim", str(dim), "--n", str(n)], budget="2000"
+    )
+    assert code != EXIT_VERIFY_FAILED
     if code == EXIT_OK:
-        assert json.loads(out.getvalue())["coefficient_sum"] == "1/1"
+        assert json.loads(out)["coefficient_sum"] == "1/1"
 
 
 def json_dump_bytes(plan, n):
@@ -683,7 +795,7 @@ def test_import_without_numpy_names_it(hide):
         "import sys\n"
         f"{hide}"
         "try:\n"
-        "    import sparsecombine\n"
+        "    import sparsecombine.cli\n"
         "except ModuleNotFoundError as exc:\n"
         "    print(exc.name, 'numpy' in str(exc))\n"
     )
@@ -748,7 +860,12 @@ def test_solve_bad_point_exits_3_without_solving(point, message, monkeypatch, ca
 
 
 @pytest.mark.parametrize(
-    "env_budget,level,nodes", [(None, "12,12,12", 68769820673), ("288", "4,4", 289)]
+    "env_budget,level,nodes", [
+        (None, "12,12,12", 68769820673),
+        ("288", "4,4", 289),
+        # Past str()'s 4300-digit limit, a count shows as its power of two.
+        (None, "100000,1", "over 2**100001"),
+    ]
 )
 def test_solve_over_budget_exits_2_without_solving(
     env_budget, level, nodes, monkeypatch, capsys
@@ -891,6 +1008,25 @@ def test_grid_solve_other_failure_propagates(monkeypatch):
     with pytest.raises(PlanEvaluationError) as exc:
         run_main(argv)
     assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_command_contract(data):
+    # solve exits 0 only with a report on the grid it was asked for, and
+    # that grid is within the budget.
+    dim = data.draw(mostly(st.integers(1, 4), [0, -1]))
+    level = data.draw(mostly(
+        st.lists(st.integers(1, 7), min_size=max(dim, 0), max_size=max(dim, 0)).map(
+            lambda levels: ",".join(map(str, levels))),
+        ["0,3", "-1,2", "3", "", "x", "3,,3", "100000,1"]))
+    argv = ["solve", f"--dim={dim}", f"--level={level}", *data.draw(point_flag(dim))]
+    code, out = run_contract(argv)
+    assert code != EXIT_VERIFY_FAILED
+    if code == EXIT_OK:
+        payload = json.loads(out)
+        assert ",".join(map(str, payload["level"])) == level
+        assert payload["nodes"] <= 5000
 
 
 def test_cmd_solve_stream():

@@ -490,6 +490,21 @@ def test_projected_dof_hosg_counts_every_refinement_of_every_base_grid(shift):
             assert projected_dof_total("HOSG", d, n, level_shift=shift) == expected
 
 
+@pytest.mark.parametrize("method", STUDY_METHODS)
+@pytest.mark.parametrize("shift", [0, 1])
+def test_study_guard_bounds_bracket_node_total(method, shift):
+    # The study checks a record once, against its projection: the projection
+    # never undercounts the plan's node total, and grid (n+s, s, ..., s),
+    # which the study checks before projecting, never overcounts it.
+    for d in range(1, 6):
+        if method == "SPLIT2D" and d != 2:
+            continue
+        for n in range(1 if method == "HOSG" else 0, 8):
+            total = _node_total(method_plan(method, d, n, shift))
+            first = LevelIndex((n + shift,) + (shift,) * (d - 1)).node_count()
+            assert first <= total <= projected_dof_total(method, d, n, shift)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_plan
 

@@ -176,6 +176,20 @@ def test_lemma_cancel_rejects_trials_below_one(trials):
         check_lemma_cancel(2, trials=trials)
 
 
+@pytest.mark.parametrize("trials", [100_001, 10 ** 11])
+def test_lemma_cancel_rejects_trials_above_bound(trials):
+    with pytest.raises(ValueError, match="trials must be <= 100000"):
+        check_lemma_cancel(8, trials=trials)
+
+
+def test_lemma_cancel_rejects_weights_beyond_float64():
+    # The float phase cannot round such a weight, so the check refuses it.
+    w = list(extrapolation_weights(2))
+    w[1] *= Fraction(10) ** 400
+    with pytest.raises(ValueError, match="weights must be within the float64 range"):
+        check_lemma_cancel(2, trials=1, weights=w)
+
+
 @pytest.mark.parametrize(
     "checker", [check_normalization, check_cancellation_system, check_lemma_cancel]
 )
