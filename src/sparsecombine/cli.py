@@ -41,7 +41,7 @@ from .combine import (
 # Delete the import in the benchmark change that re-points the hook to
 # write_plan_json (open as a FOUND line in CHANGES.md).
 from .combine import plan_to_dict  # noqa: F401
-from .grid import LevelIndex, _checked_points, multilinear_eval
+from .grid import _checked_level, _checked_points, multilinear_eval, node_count
 from .pde import builtin_sine_problem, solve_poisson
 from .verify import (
     check_cancellation_system,
@@ -262,21 +262,22 @@ def cmd_solve(
     before the grid is solved.
     """
     problem = builtin_sine_problem(dim)
-    lv = LevelIndex(level)
+    lv = _checked_level(level)
     pt = tuple(point) if point is not None else default_eval_point(dim)
     _checked_points(pt, dim)
     budget = _default_budget()
-    if lv.node_count() > budget:
+    nodes = node_count(lv)
+    if nodes > budget:
         raise BudgetExceededError(
-            f"level {tuple(lv)} has {_count_text(lv.node_count())} nodes, budget is {budget}",
-            projected=lv.node_count(),
+            f"level {lv} has {_count_text(nodes)} nodes, budget is {budget}",
+            projected=nodes,
             budget=budget,
         )
     grid, report = solve_poisson(problem, lv)
     value = multilinear_eval(grid, pt)
     payload = {
         "level": list(lv),
-        "nodes": lv.node_count(),
+        "nodes": nodes,
         "point": list(pt),
         "value": value,
         "residual_inf": report.residual_inf,

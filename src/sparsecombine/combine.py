@@ -46,6 +46,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from ._lazy import np
+from .grid import Point, _checked_level, _checked_points, node_count
 
 # Stopgap: multilinear_eval and solve_poisson are not called here (plan
 # evaluation reads grid values through _solve_at_table). They stay module
@@ -54,7 +55,7 @@ from ._lazy import np
 # hooks therefore count 0 calls on the study path. Delete both imports in
 # the benchmark change that re-points the hooks to _solve_at_table (open as a
 # FOUND line in CHANGES.md).
-from .grid import LevelIndex, Point, _checked_points, multilinear_eval  # noqa: F401
+from .grid import multilinear_eval  # noqa: F401
 from .pde import (  # noqa: F401
     ProblemSpec,
     _PointTable,
@@ -120,7 +121,7 @@ class BudgetExceededError(RuntimeError):
 class PlanEvaluationError(RuntimeError):
     """A grid solve inside a plan evaluation failed; carries the level."""
 
-    def __init__(self, message: str, level: LevelIndex) -> None:
+    def __init__(self, message: str, level: tuple[int, ...]) -> None:
         super().__init__(message)
         self.level = level
 
@@ -135,7 +136,8 @@ def _count_text(count: int) -> str:
 
 
 class CombinationPlan:
-    """An immutable map LevelIndex -> nonzero Fraction coefficient.
+    """An immutable map level -> nonzero Fraction coefficient, a level being
+    a tuple of non-negative ints.
 
     Coefficients that accumulate to exactly zero are dropped at construction,
     so no stored coefficient is zero. Terms are stored in sorted level order,
@@ -159,14 +161,11 @@ class CombinationPlan:
     ) -> None:
         if dim < 1:
             raise ValueError("plan dimension must be >= 1")
-        clean: dict[LevelIndex, Fraction] = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         for lv, coeff in terms.items():
-            # The builders hand over LevelIndex keys and Fraction values; only
-            # other input is converted (and thereby validated).
-            if type(lv) is not LevelIndex:
-                lv = LevelIndex(lv)
+            lv = _checked_level(lv)
             if len(lv) != dim:
-                raise ValueError(f"level {tuple(lv)} does not have dimension {dim}")
+                raise ValueError(f"level {lv} does not have dimension {dim}")
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff:
@@ -192,7 +191,7 @@ class CombinationPlan:
         raise AttributeError("CombinationPlan is immutable")
 
     @property
-    def terms(self) -> Mapping[LevelIndex, Fraction]:
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
         """Read-only map level -> coefficient in sorted level order."""
         if self._terms is None:
             object.__setattr__(self, "_terms", MappingProxyType(self._band.terms()))
@@ -215,7 +214,7 @@ class CombinationPlan:
         shift = band.d * band.offset
         return ((t + shift, count, c) for t, _, count, c in band.classes())
 
-    def __iter__(self) -> Iterator[LevelIndex]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.terms)
 
     def coefficient_sum(self) -> Fraction:
@@ -233,7 +232,9 @@ class CombinationPlan:
             band = band._replace(offset=band.offset + offset)
             return CombinationPlan._from_band(self.dim, label, band)
         return CombinationPlan(
-            self.dim, {lv.shifted(offset): c for lv, c in self.terms.items()}, label
+            self.dim,
+            {tuple(v + offset for v in lv): c for lv, c in self.terms.items()},
+            label,
         )
 
     def __repr__(self) -> str:
@@ -244,17 +245,22 @@ class _Band(NamedTuple):
     """The class table of a band plan.
 
     Every level l with n <= |l|_1 <= top, plus ``offset`` in each direction,
-    has coefficient ``table[|l|_1][p]``, p being the number of nonzero entries
-    of l before the offset (see ho_plan); levels whose coefficient is zero
-    are left out. The top diagonal is ``len(table) - 1``. ``terms`` builds
-    the terms for evaluation; ``export_blocks`` renders the export's text
-    straight from the table.
+    has coefficient ``table[|l|_1 - n][p]``, p being the number of nonzero
+    entries of l before the offset (see ho_plan); levels whose coefficient is
+    zero are left out. The table holds the rows of diagonals n..top only.
+    ``terms`` builds the terms for evaluation; ``export_blocks`` renders the
+    export's text straight from the table.
     """
 
     d: int
     n: int
     table: list[list[Fraction]]
     offset: int
+
+    @property
+    def top(self) -> int:
+        """The top diagonal |l|_1 of the band, before the offset."""
+        return self.n + len(self.table) - 1
 
     def classes(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """(|l|_1, p, level count, coefficient) of every class with levels
@@ -264,8 +270,8 @@ class _Band(NamedTuple):
         (one level when t = p = 0).
         """
         d = self.d
-        for t in range(self.n, len(self.table)):
-            for p, coeff in enumerate(self.table[t]):
+        for t, row in enumerate(self.table, self.n):
+            for p, coeff in enumerate(row):
                 count = comb(d, p) * comb(t - 1, p - 1) if t and p else int(t == p)
                 if count and coeff:
                     yield t, p, count, coeff
@@ -275,7 +281,7 @@ class _Band(NamedTuple):
         order, each as ``start`` plus one of ``pieces`` per level (``pieces[v]``
         stands for level v), with its |.|_1 and nonzero count before the
         offset."""
-        top = len(self.table) - 1
+        top = self.top
         prefixes = [(start, 0, 0)]
         for _ in range(k):
             prefixes = [
@@ -285,30 +291,29 @@ class _Band(NamedTuple):
             ]
         return prefixes
 
-    def terms(self) -> dict[LevelIndex, Fraction]:
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
         """The plan's terms in sorted level order.
 
         The last level closes each prefix; every (|prefix|_1, count) has its
         list of nonzero (last level, coefficient) pairs, so a term costs no
         table lookup or zero test. Compositions plus a nonnegative offset
-        are valid levels, so LevelIndex's validation is skipped.
+        are valid levels, so no key is checked.
         """
         d, n, table, s = self
-        top = len(table) - 1
+        top = self.top
         closing = [
             [
                 [
                     (v + s, coeff)
                     for v in range(max(n - t, 0), top - t + 1)
-                    if (coeff := table[t + v][p + (v > 0)])
+                    if (coeff := table[t + v - n][p + (v > 0)])
                 ]
                 for p in range(d)
             ]
             for t in range(top + 1)
         ]
-        new = tuple.__new__
         return {
-            new(LevelIndex, lv + (v,)): coeff
+            lv + (v,): coeff
             for lv, t, p in self.prefixes((), [(v + s,) for v in range(top + 1)], d - 1)
             for v, coeff in closing[t][p]
         }
@@ -322,15 +327,14 @@ class _Band(NamedTuple):
         diagonal the texts of the last J levels, closed by their coefficient,
         are rendered once per (levels left, remaining |.|_1, nonzero count so
         far) and leave out every level whose coefficient is zero, so a term
-        costs one str.join step.
+        costs one str.join step. The texts of single levels are rendered only
+        when a level other than the last is, that is for d > 1.
         """
         d, n, table, s = self
-        top = len(table) - 1
         split = d // 2 + 1
-        pieces = [f"{v + s},\n        " for v in range(top + 1)]
+        pieces = [f"{v + s},\n        " for v in range(self.top + 1)] if d > 1 else []
         prefixes = self.prefixes('    {\n      "levels": [\n        ', pieces, d - split)
-        for t in range(n, top + 1):
-            row = table[t]
+        for t, row in enumerate(table, n):
             memo: dict[tuple[int, int, int], list[str]] = {}
 
             def suffixes(k: int, r: int, p: int) -> list[str]:
@@ -367,13 +371,13 @@ def _band(d: int, n: int, step: Sequence[int], denominator: int, label: str) -> 
     # (1 + beta x)**p / denominator for alpha_k = beta**k / denominator (and
     # 1 for alpha = (1,)). One integer polynomial product per p and one
     # Fraction per cell.
-    top = n + d - 1 + d * (len(step) - 1)
+    # Row i holds diagonal n + i; the top diagonal is n + d * len(step) - 1.
     zero = Fraction(0)
-    table = [[zero] * (d + 1) for _ in range(top + 1)]
+    table = [[zero] * (d + 1) for _ in range(d * len(step))]
     poly = [(-1) ** (d - 1 - i) * comb(d - 1, i) for i in range(d)]
     for p in range(d + 1):
         for i, coeff in enumerate(poly):
-            table[n + i][p] = Fraction(coeff, denominator)
+            table[i][p] = Fraction(coeff, denominator)
         poly = [
             sum(s * poly[i - k] for k, s in enumerate(step) if 0 <= i - k < len(poly))
             for i in range(len(poly) + len(step) - 1)
@@ -409,17 +413,17 @@ def extrapolation_plan(l) -> CombinationPlan:
     (they evaluate to zero under the Dirichlet completion, see evaluate_plan);
     callers who need every grid solvable should pass l_j >= 1.
     """
-    base = LevelIndex(l)
-    d = base.dim
+    base = _checked_level(l)
+    d = len(base)
     weights = extrapolation_weights(d)
     return CombinationPlan(
         d,
         {
-            base.refine(subset): weights[k]
+            tuple(v + (j in subset) for j, v in enumerate(base)): weights[k]
             for k in range(d + 1)
             for subset in combinations(range(d), k)
         },
-        label=f"extrapolation(l={tuple(base)})",
+        label=f"extrapolation(l={base})",
     )
 
 
@@ -541,14 +545,14 @@ def _node_total(plan: CombinationPlan) -> int:
     # plan sums its classes' level sums without building its terms.
     band = plan._band
     if band is None:
-        return sum(lv.node_count() for lv in plan.terms)
+        return sum(map(node_count, plan.terms))
     s = band.offset
-    sums = _level_sums(band.d, len(band.table) - 1, lambda v: 2 ** (v + s) + 1)
+    sums = _level_sums(band.d, band.top, lambda v: 2 ** (v + s) + 1)
     return sum(sums[t][p] for t, p, _, _ in band.classes())
 
 
 # A GridCache key: a level and the bytes of the (K, d) evaluation points.
-CacheKey = tuple[LevelIndex, bytes]
+CacheKey = tuple[tuple[int, ...], bytes]
 
 
 class GridCache:
@@ -679,7 +683,7 @@ def evaluate_plan(
     points_key = pts.tobytes()
     table, work = cache._context(p, pts, points_key)
     # The work buffers are grown once per evaluation, to its largest grid.
-    largest = max(map(LevelIndex.interior_count, plan.terms), default=0)
+    largest = max((math.prod(2 ** v - 1 for v in lv) for lv in plan.terms), default=0)
 
     def values_at(key: CacheKey) -> tuple[float, ...]:
         work.reserve(largest)
@@ -690,13 +694,13 @@ def evaluate_plan(
     solvable = [(lv, c) for lv, c in plan.terms.items() if min(lv) >= 1]
     solvable.sort(key=lambda term: (min(term[0], _swapped(term[0])), term[0]))
     weighted: list[tuple[float, tuple[float, ...]]] = []
-    newly_solved: list[LevelIndex] = []
+    newly_solved: list[tuple[int, ...]] = []
     for level, coeff in solvable:
         try:
             entry, mine = cache.get_or_solve((level, points_key), values_at)
         except Exception as exc:
             raise PlanEvaluationError(
-                f"while solving level {tuple(level)} "
+                f"while solving level {level} "
                 f"for plan {plan.label or '<unnamed>'}: "
                 f"{str(exc) or type(exc).__name__}",
                 level=level,
@@ -710,17 +714,13 @@ def evaluate_plan(
             math.fsum(c * entry[k] for c, entry in weighted) for k in range(len(pts))
         ),
         dof_total=dof_total,
-        dof_unique=sum(lv.node_count() for lv in newly_solved),
+        dof_unique=sum(map(node_count, newly_solved)),
         grids_solved=len(newly_solved),
     )
 
 
-def _isotropic(d: int, n: int) -> LevelIndex:
-    return LevelIndex((n,) * d)
-
-
 def _fg_plan(d: int, n: int, s: int) -> CombinationPlan:
-    return CombinationPlan(d, {_isotropic(d, n + s): 1}, label=f"fg(n={n})")
+    return CombinationPlan(d, {(n + s,) * d: 1}, label=f"fg(n={n})")
 
 
 def _hofg_plan(d: int, n: int, s: int) -> CombinationPlan:
@@ -728,8 +728,8 @@ def _hofg_plan(d: int, n: int, s: int) -> CombinationPlan:
     return CombinationPlan(
         d,
         {
-            _isotropic(d, n + s): Fraction(-1, 3),
-            _isotropic(d, n + 1 + s): Fraction(4, 3),
+            (n + s,) * d: Fraction(-1, 3),
+            (n + 1 + s,) * d: Fraction(4, 3),
         },
         label=f"hofg(n={n})",
     )
@@ -739,14 +739,10 @@ def _split2d_plan(d: int, n: int, s: int) -> CombinationPlan:
     # The 2D three-grid formula 4/3 u^(1) + 4/3 u^(2) - 5/3 u_h, u^(k) being
     # the solution with direction k refined once; fourth order on isotropic
     # grids only.
-    base = _isotropic(2, n + s)
+    m = n + s
     return CombinationPlan(
         2,
-        {
-            base: Fraction(-5, 3),
-            base.refine((0,)): Fraction(4, 3),
-            base.refine((1,)): Fraction(4, 3),
-        },
+        {(m, m): Fraction(-5, 3), (m + 1, m): Fraction(4, 3), (m, m + 1): Fraction(4, 3)},
         label=f"split2d(n={n})",
     )
 
@@ -898,7 +894,7 @@ def hierarchical_surplus_study(
     for n in range(n_min, n_max + 1):
         # Grid (n+s, s, ..., s), a term of the SG and HOSG plans and no larger
         # than a term of the others, refuses a hopeless record in O(d) work.
-        projected = LevelIndex((n + level_shift,) + (level_shift,) * (d - 1)).node_count()
+        projected = node_count((n + level_shift,) + (level_shift,) * (d - 1))
         if projected <= node_budget:
             projected = projected_dof_total(method, d, n, level_shift)
         if projected > node_budget:

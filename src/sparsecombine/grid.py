@@ -4,19 +4,22 @@ A grid is described by a level multi-index l = (l_0, ..., l_{d-1}): direction j
 has mesh width 2**-l[j] and 2**l[j] + 1 nodes, boundary included. Node values
 are stored flat in lexicographic (C) order by index tuple, so the node with
 index (j_0, ..., j_{d-1}) sits at x = (j_0 * h_0, ..., j_{d-1} * h_{d-1}).
+A level is a plain tuple of non-negative Python ints; a level from outside the
+package is checked once where it enters (``_checked_level``).
 
 Direction indices are 0-based throughout the package.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
 from ._lazy import np
 
 __all__ = [
-    "LevelIndex",
+    "node_count",
     "GridFunction",
     "Point",
     "multilinear_eval",
@@ -26,66 +29,10 @@ __all__ = [
 Point = Sequence[float]
 
 
-class LevelIndex(tuple):
-    """Per-direction dyadic refinement depths of a tensor grid on [0,1]^d.
-
-    Behaves as a plain tuple of non-negative ints with grid-geometry helpers.
-    Each entry must be an integer (anything ``operator.index`` takes, numpy
-    integers included); a float or a string raises ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, levels: Iterable[int]):
-        lv = []
-        for v in levels:
-            try:
-                lv.append(operator.index(v))
-            except TypeError:
-                raise ValueError(f"level entry {v!r} is not an integer") from None
-        lv = tuple(lv)
-        if not lv:
-            raise ValueError("LevelIndex needs at least one direction")
-        for v in lv:
-            if v < 0:
-                raise ValueError(f"levels must be non-negative, got {lv}")
-        return super().__new__(cls, lv)
-
-    @property
-    def dim(self) -> int:
-        return len(self)
-
-    def points_per_direction(self) -> tuple[int, ...]:
-        return tuple(2 ** v + 1 for v in self)
-
-    def node_count(self) -> int:
-        """Total number of nodes, boundary included: prod(2**l_j + 1)."""
-        count = 1
-        for v in self:
-            count *= 2 ** v + 1
-        return count
-
-    def interior_count(self) -> int:
-        """Number of interior nodes: prod(2**l_j - 1), zero if any l_j = 0."""
-        count = 1
-        for v in self:
-            count *= 2 ** v - 1
-        return count
-
-    def refine(self, directions: Iterable[int] = ()) -> "LevelIndex":
-        """Bisect the mesh in the given 0-based directions (duplicates ignored)."""
-        dirs = set(directions)
-        for j in dirs:
-            if not 0 <= j < len(self):
-                raise IndexError(f"direction {j} out of range for dim {len(self)}")
-        return LevelIndex(v + 1 if j in dirs else v for j, v in enumerate(self))
-
-    def shifted(self, offset: int) -> "LevelIndex":
-        """Add a constant offset to every direction's level."""
-        return LevelIndex(v + offset for v in self)
-
-    def __repr__(self) -> str:
-        return f"LevelIndex{tuple(self)!r}"
+def node_count(l: Sequence[int]) -> int:
+    """Total number of nodes of the grid at level ``l``, boundary included:
+    prod(2**l_j + 1)."""
+    return math.prod(2 ** v + 1 for v in l)
 
 
 class GridFunction:
@@ -98,19 +45,18 @@ class GridFunction:
     __slots__ = ("level", "values")
 
     def __init__(self, level: Iterable[int], values) -> None:
-        lv = LevelIndex(level)
+        lv = _checked_level(level)
         arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-        if arr.size != lv.node_count():
+        if arr.size != node_count(lv):
             raise ValueError(
-                f"value buffer has {arr.size} entries, grid {tuple(lv)} "
-                f"needs {lv.node_count()}"
+                f"value buffer has {arr.size} entries, grid {lv} needs {node_count(lv)}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "level", lv)
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def _no_copy(cls, level: LevelIndex, arr: np.ndarray) -> "GridFunction":
+    def _no_copy(cls, level: tuple[int, ...], arr: np.ndarray) -> "GridFunction":
         # Internal no-copy constructor: the caller hands the array over.
         self = object.__new__(cls)
         flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
@@ -124,18 +70,40 @@ class GridFunction:
 
     @property
     def dim(self) -> int:
-        return self.level.dim
+        return len(self.level)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.level.points_per_direction()
+        return tuple(2 ** v + 1 for v in self.level)
 
     def ndview(self) -> np.ndarray:
         """Read-only view shaped (2**l_0 + 1, ..., 2**l_{d-1} + 1)."""
         return self.values.reshape(self.shape)
 
     def __repr__(self) -> str:
-        return f"GridFunction(level={tuple(self.level)}, nodes={self.values.size})"
+        return f"GridFunction(level={self.level}, nodes={self.values.size})"
+
+
+def _checked_level(l: Iterable[int]) -> tuple[int, ...]:
+    """``l`` as a tuple of Python ints, the one form of a level inside the
+    package.
+
+    Raises ValueError for an entry that is not an integer (anything
+    ``operator.index`` takes passes, numpy integers included; a float or a
+    string does not), a negative entry, or no entry at all.
+    """
+    level = []
+    for v in l:
+        try:
+            level.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"level entry {v!r} is not an integer") from None
+    level = tuple(level)
+    if not level:
+        raise ValueError("a level needs at least one direction")
+    if min(level) < 0:
+        raise ValueError(f"levels must be non-negative, got {level}")
+    return level
 
 
 def _checked_points(x, d: int) -> np.ndarray:
@@ -183,7 +151,7 @@ def multilinear_eval(g: GridFunction, x):
     (the interpolant is continuous, so the choice is unobservable).
     """
     lv = g.level
-    pts = _checked_points(x, lv.dim)
+    pts = _checked_points(x, len(lv))
     k, d = pts.shape
     cells = [_cell_coordinates(pts[:, j], v) for j, v in enumerate(lv)]
     # Gather the 2**d corner values of each point's cell: shape (K, 2, ..., 2).

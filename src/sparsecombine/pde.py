@@ -72,7 +72,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from ._lazy import np
-from .grid import GridFunction, LevelIndex, Point, _cell_coordinates, _checked_points
+from .grid import GridFunction, Point, _cell_coordinates, _checked_level, _checked_points
 
 __all__ = [
     "ProblemSpec",
@@ -109,9 +109,9 @@ class ProblemSpec:
 
     ``rhs`` maps a point to f(x). ``exact`` (optional) is the true solution,
     used only by studies and tests. ``rhs_grid`` (optional) is a vectorized
-    fast path: given a LevelIndex it returns f sampled on the interior nodes
-    as an array of shape (2**l_0 - 1, ..., 2**l_{d-1} - 1); it must agree with
-    ``rhs`` pointwise.
+    fast path: given a level (a tuple of ints) it returns f sampled on the
+    interior nodes as an array of shape (2**l_0 - 1, ..., 2**l_{d-1} - 1); it
+    must agree with ``rhs`` pointwise.
 
     ``rhs_factors`` (optional) declares separable data f = c * prod_j
     g_j(x_j) as a pair ``(c, g)``: ``g(j, v)`` returns g_j at the 2**v - 1
@@ -125,7 +125,7 @@ class ProblemSpec:
     rhs: Callable[[Point], float]
     exact: Optional[Callable[[Point], float]] = None
     name: str = "custom"
-    rhs_grid: Optional[Callable[[LevelIndex], np.ndarray]] = None
+    rhs_grid: Optional[Callable[[tuple[int, ...]], np.ndarray]] = None
     rhs_factors: Optional[tuple[float, Callable[[int, int], np.ndarray]]] = None
 
 
@@ -138,7 +138,7 @@ class SolverReport:
     caller that never reads it never pays for the stencil.
     """
 
-    level: LevelIndex
+    level: tuple[int, ...]
     solve_seconds: float
     rhs: np.ndarray = field(repr=False, compare=False)
     grid: GridFunction = field(repr=False, compare=False)
@@ -167,7 +167,7 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
             prod *= np.sin(np.pi * xj)
         return -prod
 
-    def rhs_grid(level: LevelIndex) -> np.ndarray:
+    def rhs_grid(level: tuple[int, ...]) -> np.ndarray:
         out = np.empty(tuple(2 ** v - 1 for v in level))
         _outer_into(np.multiply, [_interior_sines(v) for v in level], out)
         out *= d * np.pi ** 2
@@ -183,7 +183,7 @@ def builtin_sine_problem(d: int) -> ProblemSpec:
     )
 
 
-def _interior_axes(level: LevelIndex) -> list[np.ndarray]:
+def _interior_axes(level: tuple[int, ...]) -> list[np.ndarray]:
     """Interior node coordinates per direction: (1..2**l-1) * h."""
     return [np.arange(1, 2 ** v) * (2.0 ** -v) for v in level]
 
@@ -415,7 +415,7 @@ def _eigenvalues_1d(level: int) -> np.ndarray:
 
 
 def _factor_coefficients(
-    p: ProblemSpec, j: int, level: LevelIndex, factors: dict
+    p: ProblemSpec, j: int, level: tuple[int, ...], factors: dict
 ) -> np.ndarray:
     """The sine transform of p's factor g_j at direction j of ``level``, as
     :func:`sine_transform` defines it (0.5 DST-I), computed in
@@ -432,7 +432,7 @@ def _factor_coefficients(
         if work.shape != (m,):
             raise ValueError(
                 f"rhs_factors returned shape {work.shape} for direction {j} "
-                f"of level {tuple(level)}, expected {(m,)}"
+                f"of level {level}, expected {(m,)}"
             )
         if m > 1:
             _dst1(work, 0)
@@ -469,7 +469,7 @@ class _Workspace:
 
     def __init__(self) -> None:
         self.factors: dict[tuple[int, int], np.ndarray] = {}
-        self.last: Optional[tuple[LevelIndex, ProblemSpec, np.ndarray]] = None
+        self.last: Optional[tuple[tuple[int, ...], ProblemSpec, np.ndarray]] = None
         self._pair: tuple = ()
         self._size = 0
         self._fft: tuple = (np.empty(0), np.empty(0, complex))
@@ -510,7 +510,7 @@ def _uses_fft(m: int) -> bool:
 
 
 def _solve_along(
-    p: ProblemSpec, level: LevelIndex, work: _Workspace, axis: Optional[int], f_int=None
+    p: ProblemSpec, level: tuple[int, ...], work: _Workspace, axis: Optional[int], f_int=None
 ) -> np.ndarray:
     """The discrete solution of ``p`` on ``level`` in sine coefficients,
     transformed back to nodal values along ``axis`` unless it is None: a view
@@ -536,9 +536,9 @@ def _solve_along(
     shape = tuple(2 ** v - 1 for v in level)
     fft = axis is not None and _uses_fft(shape[axis])
     spare, quotient = work.buffers(shape, axis if fft else None)
-    scale = 2.0 ** -(sum(level) - level.dim + fft)
+    scale = 2.0 ** -(sum(level) - len(level) + fft)
     if p.rhs_factors is not None:
-        factors = [_factor_coefficients(p, j, level, work.factors) for j in range(level.dim)]
+        factors = [_factor_coefficients(p, j, level, work.factors) for j in range(len(level))]
         numer = spare
         _outer_into(np.multiply, factors, numer)
         numer *= p.rhs_factors[0] * scale
@@ -624,7 +624,7 @@ class _PointTable:
 
 
 def _interpolate_nodal(
-    nodal: np.ndarray, level: LevelIndex, a: int, table: _PointTable
+    nodal: np.ndarray, level: tuple[int, ...], a: int, table: _PointTable
 ) -> np.ndarray:
     """Values at the points of ``table`` of the multilinear interpolant of
     the grid whose sine coefficients, transformed along its longest direction
@@ -642,11 +642,11 @@ def _interpolate_nodal(
     m = 2 ** level[a] - 1
     # Values at the interior nodes 1 .. m of the longest direction (moved to
     # the front), over the sine coefficients of the others.
-    nodal = nodal.transpose(_axis_order(level.dim, a, 0))
+    nodal = nodal.transpose(_axis_order(len(level), a, 0))
     lower, lower_w, upper, upper_w = table.blend(a, level[a])
     others = [
         (j, level[j], table.weights(j, level[j]))
-        for j in reversed(range(level.dim))
+        for j in reversed(range(len(level)))
         if j != a
     ]
     per_point = (-1,) + (1,) * len(others)
@@ -693,7 +693,7 @@ def _stencil_interior(full: np.ndarray, inv_h2: tuple[float, ...]) -> np.ndarray
     return acc
 
 
-def _sample_interior_rhs(p: ProblemSpec, level: LevelIndex) -> np.ndarray:
+def _sample_interior_rhs(p: ProblemSpec, level: tuple[int, ...]) -> np.ndarray:
     if p.rhs_grid is not None:
         arr = np.asarray(p.rhs_grid(level), dtype=np.float64)
         expected = tuple(2 ** v - 1 for v in level)
@@ -707,13 +707,13 @@ def _sample_interior_rhs(p: ProblemSpec, level: LevelIndex) -> np.ndarray:
     return np.fromiter(map(p.rhs, nodes), np.float64, count=math.prod(shape)).reshape(shape)
 
 
-def _solvable_level(p: ProblemSpec, l) -> LevelIndex:
-    level = LevelIndex(l)
-    if p.dim != level.dim:
-        raise ValueError(f"problem is {p.dim}-dimensional, level {tuple(level)}")
+def _solvable_level(p: ProblemSpec, l) -> tuple[int, ...]:
+    level = _checked_level(l)
+    if p.dim != len(level):
+        raise ValueError(f"problem is {p.dim}-dimensional, level {level}")
     if any(v == 0 for v in level):
         raise DegenerateGridError(
-            f"degenerate grid {tuple(level)}: no interior node in some direction"
+            f"degenerate grid {level}: no interior node in some direction"
         )
     return level
 
@@ -749,7 +749,7 @@ def solve_poisson(p: ProblemSpec, l) -> tuple[GridFunction, SolverReport]:
     for j, v in enumerate(level):
         if v > 1:
             interior = sine_transform(interior, j)
-    full = np.zeros(level.points_per_direction())
+    full = np.zeros(tuple(2 ** v + 1 for v in level))
     full[tuple(slice(1, -1) for _ in level)] = interior
     grid = GridFunction._no_copy(level, full)
     report = SolverReport(
@@ -778,13 +778,13 @@ def solve_at_points(p: ProblemSpec, l, x) -> np.ndarray:
     count the nodal grid of :func:`solve_poisson` is the cheaper route.
     """
     level = _solvable_level(p, l)
-    table = _PointTable(_checked_points(x, level.dim))
+    table = _PointTable(_checked_points(x, len(level)))
     return _solve_at_table(p, level, table, _Workspace())
 
 
 def _solve_at_table(
     p: ProblemSpec,
-    level: LevelIndex,
+    level: tuple[int, ...],
     table: _PointTable,
     work: _Workspace,
 ) -> np.ndarray:
@@ -808,7 +808,7 @@ def _solve_at_table(
 
 
 def _partner_nodal(
-    p: ProblemSpec, level: LevelIndex, work: _Workspace
+    p: ProblemSpec, level: tuple[int, ...], work: _Workspace
 ) -> Optional[np.ndarray]:
     """The nodal array of an FFT-path ``level`` read from ``work.last``, or
     None when that does not hold it.
@@ -843,10 +843,10 @@ def apply_operator(g: GridFunction) -> GridFunction:
     level = g.level
     if any(v == 0 for v in level):
         raise DegenerateGridError(
-            f"degenerate grid {tuple(level)}: operator needs interior nodes"
+            f"degenerate grid {level}: operator needs interior nodes"
         )
     inv_h2 = tuple(4.0 ** v for v in level)
-    out = np.zeros(level.points_per_direction())
+    out = np.zeros(tuple(2 ** v + 1 for v in level))
     core = tuple(slice(1, -1) for _ in level)
     out[core] = _stencil_interior(g.ndview(), inv_h2)
     return GridFunction._no_copy(level, out)

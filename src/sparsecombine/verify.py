@@ -159,6 +159,9 @@ _DRAWS = (
 _ENTRY = b"%s%s%s%s" % _DRAWS
 _ONE_ENTRY = re.compile(b"%s(%s)%s(%s)" % _DRAWS)
 _RUN = 1 << 14  # entries per match at most; each holds ~200 B of the matcher's stack
+# Words skipped per getrandbits call at most: one call builds an integer of
+# all the words it draws, 4 MiB here.
+_SKIP_WORDS = 1 << 20
 
 
 def check_lemma_cancel(
@@ -181,9 +184,10 @@ def check_lemma_cancel(
     getrandbits(32 * W) calls, decodes only the entries of nonzero-weight keys
     and skips each run of zero-weight keys, across trials too, in one regular
     expression match. The float phase then reseeds and skips exactly the words
-    consumed, so its draws are those of drawing every entry one by one. Its
-    weights stay unfolded, since folded ones cancel before any entry enters,
-    and its terms are summed left to right in bit-vector order.
+    consumed, in blocks of at most ``_SKIP_WORDS``, so its draws are those of
+    drawing every entry one by one. Its weights stay unfolded, since folded
+    ones cancel before any entry enters, and its terms are summed left to
+    right in bit-vector order.
     """
     if not 1 <= d <= 16:
         raise ValueError("lemma_cancel check supports 1 <= d <= 16")
@@ -241,7 +245,8 @@ def check_lemma_cancel(
     skip(gap)
 
     rng = random.Random(seed)
-    rng.getrandbits(32 * (consumed + pos))
+    for start in range(0, consumed + pos, _SKIP_WORDS):
+        rng.getrandbits(32 * min(_SKIP_WORDS, consumed + pos - start))
     random_float = rng.random
     # Bit vector (b_0, key) has the weight alpha_|b| * 4**(-b_0).
     weights_f = [alpha_f[c] for c in counts] + [alpha_f[c + 1] * 0.25 for c in counts]

@@ -576,7 +576,7 @@ def made_up_band(kind, d, n):
     live = {(t, p) for t, p, _, _ in band.classes()}
     assert any(
         (t, p) not in live and any(t == u for u, _ in live)
-        for t in range(n, len(band.table))
+        for t in range(n, band.top + 1)
         for p in range(1, min(t, d) + 1)
     )
     return plan
@@ -631,6 +631,26 @@ def test_band_plan_export_memory_bounded():
         tracemalloc.stop()
     assert sink.chars == 6_497_977
     assert peak < sink.chars / 4
+
+
+def test_band_table_holds_diagonals_from_n_only():
+    # standard_plan(1, 3_000_000) has one term: its table holds the rows of
+    # diagonals n..top only, and its export renders no text per level value.
+    n = 3_000_000
+    plan = standard_plan(1, n)
+    band = plan._band
+    assert band.top == n and len(band.table) == band.top - n + 1
+    buf = io.StringIO()
+    write_plan_json(plan, buf, n=n)
+    want = {
+        "d": 1,
+        "n": n,
+        "label": f"standard(d=1,n={n})",
+        "terms": [{"levels": [n], "coeff": "1/1"}],
+        "coefficient_sum": "1/1",
+        "level_mass": {str(n): "1/1"},
+    }
+    assert buf.getvalue() == json.dumps(want, indent=2) + "\n"
 
 
 def test_band_plan_export_leaves_terms_unbuilt():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecombine.combine import CombinationPlan, extrapolation_plan
 from sparsecombine.grid import (
     GridFunction,
-    LevelIndex,
     multilinear_eval,
+    node_count,
 )
+from sparsecombine.pde import builtin_sine_problem, solve_poisson
 
 from oracles import interp_corners
 
@@ -17,17 +19,17 @@ from oracles import interp_corners
 def sampled(level, fn) -> GridFunction:
     # The grid function of fn's values at the nodes of ``level``; fn takes the
     # d full coordinate arrays of np.meshgrid as one sequence x.
-    axes = [np.linspace(0.0, 1.0, m) for m in LevelIndex(level).points_per_direction()]
+    axes = [np.linspace(0.0, 1.0, 2 ** v + 1) for v in level]
     return GridFunction(level, fn(np.meshgrid(*axes, indexing="ij")))
 
 
 def mesh_widths(level) -> tuple[float, ...]:
     # The node spacing per direction, from the node counts.
-    return tuple(1.0 / (m - 1) for m in LevelIndex(level).points_per_direction())
+    return tuple(1.0 / (node_count((v,)) - 1) for v in level)
 
 
 # ---------------------------------------------------------------------------
-# LevelIndex
+# Levels
 
 
 def test_mesh_widths_examples():
@@ -36,22 +38,28 @@ def test_mesh_widths_examples():
     assert mesh_widths((2, 5, 1)) == (0.25, 0.03125, 0.5)
 
 
-def test_refine_examples():
-    assert LevelIndex((2, 2)).refine(set()) == (2, 2)
-    assert LevelIndex((2, 2)).refine({0}) == (3, 2)
-    assert LevelIndex((1, 0, 4)).refine({0, 2}) == (2, 0, 5)
+def solved_levels(lv) -> list:
+    grid, report = solve_poisson(builtin_sine_problem(2), lv)
+    return [grid.level, report.level]
 
 
-def test_refine_out_of_range():
-    with pytest.raises(IndexError):
-        LevelIndex((1, 1)).refine({2})
+# Every public entry point that takes a level from outside the package,
+# each returning the levels it stores. The grid function's buffer fits the
+# one valid level given, (3, 1).
+LEVEL_ENTRY_POINTS = {
+    "CombinationPlan": lambda lv: list(CombinationPlan(2, {lv: 1}).terms),
+    "extrapolation_plan": lambda lv: list(extrapolation_plan(lv).terms),
+    "GridFunction": lambda lv: [GridFunction(lv, np.zeros(27)).level],
+    "solve_poisson": solved_levels,
+}
 
 
 def test_level_validation():
-    with pytest.raises(ValueError):
-        LevelIndex(())
-    with pytest.raises(ValueError):
-        LevelIndex((1, -1))
+    for enter in LEVEL_ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match="a level needs at least one direction"):
+            enter(())
+        with pytest.raises(ValueError, match=re.escape("non-negative, got (1, -1)")):
+            enter((1, -1))
 
 
 @pytest.mark.parametrize(
@@ -60,48 +68,30 @@ def test_level_validation():
 def test_level_entries_must_be_integers(bad):
     # A float is not truncated and a string is not parsed: either raises
     # ValueError naming the entry.
-    with pytest.raises(ValueError, match=re.escape(f"level entry {bad!r} is not an integer")):
-        LevelIndex((bad, 2))
+    for enter in LEVEL_ENTRY_POINTS.values():
+        with pytest.raises(ValueError, match=re.escape(f"level entry {bad!r} is not an integer")):
+            enter((bad, 2))
 
 
 def test_level_accepts_numpy_integers():
-    lv = LevelIndex(np.array([3, 1], dtype=np.int64))
-    assert lv == (3, 1)
-    assert all(type(v) is int for v in lv)
-
-
-def test_shifted():
-    lv = LevelIndex((0, 3))
-    assert lv.shifted(2) == (2, 5)
-    assert type(lv.shifted(2)) is LevelIndex
+    # A level enters as a plain tuple of Python ints.
+    for name, enter in LEVEL_ENTRY_POINTS.items():
+        levels = enter(tuple(np.array([3, 1], dtype=np.int64)))
+        assert (3, 1) in levels, name
+        for lv in levels:
+            assert type(lv) is tuple and all(type(v) is int for v in lv), name
 
 
 @given(
     st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=6)
 )
 def test_counts_match_closed_forms(levels):
-    lv = LevelIndex(levels)
     node = 1
-    interior = 1
     for v in levels:
         node *= 2 ** v + 1
-        interior *= 2 ** v - 1
-    assert lv.node_count() == node
-    assert lv.interior_count() == interior
-    assert mesh_widths(lv) == tuple(2.0 ** -v for v in levels)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
-    st.data(),
-)
-def test_refine_halves_widths(levels, data):
-    lv = LevelIndex(levels)
-    subset = data.draw(st.sets(st.integers(min_value=0, max_value=lv.dim - 1)))
-    fine = lv.refine(subset)
-    for j in range(lv.dim):
-        factor = 0.5 if j in subset else 1.0
-        assert mesh_widths(fine)[j] == factor * mesh_widths(lv)[j]
+    assert node_count(levels) == node
+    assert type(node_count(levels)) is int
+    assert mesh_widths(levels) == tuple(2.0 ** -v for v in levels)
 
 
 def test_enumerate_matches_values_order():
@@ -125,7 +115,7 @@ def test_gridfunction_immutability():
     with pytest.raises((ValueError, RuntimeError)):
         g.values[0] = 1.0
     with pytest.raises(AttributeError):
-        g.level = LevelIndex((1, 1))
+        g.level = (1, 1)
 
 
 def test_gridfunction_size_validation():
@@ -194,7 +184,7 @@ def test_batched_eval_matches_single_points(d, seed):
     # including the faces x_j = 0 and 1 and grid nodes.
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, 5, size=d)
-    g = GridFunction(levels, rng.standard_normal(LevelIndex(levels).node_count()))
+    g = GridFunction(levels, rng.standard_normal(node_count(levels.tolist())))
     pts = rng.uniform(0.0, 1.0, size=(12, d))
     pts[0] = 0.0
     pts[1] = 1.0
@@ -271,10 +261,10 @@ def test_multilinear_functions_reproduced(d, seed):
 )
 def test_eval_matches_corner_oracle(levels, seed):
     rng = np.random.default_rng(seed)
-    lv = LevelIndex(levels)
-    g = GridFunction(lv, rng.standard_normal(lv.node_count()))
+    lv = tuple(levels)
+    g = GridFunction(lv, rng.standard_normal(node_count(lv)))
     for _ in range(10):
-        pt = tuple(rng.uniform(0.0, 1.0, size=lv.dim))
+        pt = tuple(rng.uniform(0.0, 1.0, size=len(lv)))
         assert multilinear_eval(g, pt) == pytest.approx(
             interp_corners(g.ndview(), lv, pt), rel=1e-13, abs=1e-13
         )

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sparsecombine import pde
 from sparsecombine.combine import default_eval_point, method_plan
-from sparsecombine.grid import GridFunction, LevelIndex, _checked_points, multilinear_eval
+from sparsecombine.grid import GridFunction, _checked_points, multilinear_eval
 from sparsecombine.pde import (
     DIRECT_TRANSFORM_MAX,
     DegenerateGridError,
@@ -44,6 +44,10 @@ from oracles import (
 )
 
 
+def interior_count(level) -> int:
+    return math.prod(2 ** v - 1 for v in level)
+
+
 # ---------------------------------------------------------------------------
 # Built-in problem
 
@@ -68,10 +72,10 @@ def test_builtin_sine_vanishes_on_boundary():
 
 def test_builtin_rhs_grid_matches_scalar():
     p = builtin_sine_problem(3)
-    lv = LevelIndex((2, 3, 2))
+    lv = (2, 3, 2)
     grid = p.rhs_grid(lv)
     # interior lattice in the same odometer order as a scalar loop
-    expected = np.empty(lv.interior_count())
+    expected = np.empty(interior_count(lv))
     widths = [2.0 ** -v for v in lv]
     k = 0
     for idx in np.ndindex(*(2 ** v - 1 for v in lv)):
@@ -88,7 +92,7 @@ def test_builtin_rhs_grid_bitwise_and_fresh(d):
     # is a new writable array each call (at d = 1 the product is the cached
     # vector itself), so changing it leaves the next call's result alone.
     p = builtin_sine_problem(d)
-    level = LevelIndex((3, 1, 3, 2)[:d])
+    level = (3, 1, 3, 2)[:d]
     sines = [np.sin(np.pi * (np.arange(1, 2 ** v) * 2.0 ** -v)) for v in level]
     want = reduce(np.multiply, np.ix_(*sines)) * (d * np.pi ** 2)
     first = p.rhs_grid(level)
@@ -190,12 +194,12 @@ def test_factor_transforms_match_scipy_bits():
     # random factors.
     builtin = builtin_sine_problem(1)
     for v in range(1, 21):
-        got = _factor_coefficients(builtin, 0, LevelIndex((v,)), {})
+        got = _factor_coefficients(builtin, 0, (v,), {})
         want = _scipy_factor_coefficients(builtin.rhs_factors[1](0, v))
         assert got.tobytes() == want.tobytes(), v
     for d in (1, 2, 3, 4):
         p = _separable_problems(d, 100 + d)[0]
-        level = LevelIndex([1 + (j * 5 + d) % 13 for j in range(d)])
+        level = tuple(1 + (j * 5 + d) % 13 for j in range(d))
         for j in range(d):
             got = _factor_coefficients(p, j, level, {})
             want = _scipy_factor_coefficients(p.rhs_factors[1](j, level[j]))
@@ -379,7 +383,7 @@ def test_matches_assembled_oracle(level):
     # system must produce the same nodal values.
     p = builtin_sine_problem(len(level))
     u, _ = solve_poisson(p, level)
-    ref = solve_assembled(p, LevelIndex(level))
+    ref = solve_assembled(p, level)
     np.testing.assert_allclose(u.ndview(), ref, rtol=0, atol=1e-12)
 
 
@@ -428,9 +432,8 @@ def test_residual_contract_random_levels(levels, seed):
 
     p = ProblemSpec(dim=d, rhs=rhs)
     u, rep = solve_poisson(p, levels)
-    lv = LevelIndex(levels)
     # f at the interior nodes i * h_j, in C order.
-    axes = [np.arange(1, 2 ** v) * 2.0 ** -v for v in lv]
+    axes = [np.arange(1, 2 ** v) * 2.0 ** -v for v in levels]
     f = np.array([rhs(pt) for pt in itertools.product(*axes)])
     f = f.reshape([a.size for a in axes])
     f_inf = float(np.abs(f).max())
@@ -638,7 +641,7 @@ def test_factor_cache_bit_identical(d):
     # fresh; the cache holds one vector per (direction, level value).
     rng = np.random.default_rng(d)
     pts = rng.uniform(0.0, 1.0, size=(9, d))
-    levels = [LevelIndex(rng.integers(1, 8 - d, size=d)) for _ in range(12)]
+    levels = [tuple(rng.integers(1, 8 - d, size=d).tolist()) for _ in range(12)]
     for p in (builtin_sine_problem(d), _separable_problems(d, d)[0]):
         table, warm = _PointTable(pts), _Workspace()
         for level in levels:
@@ -659,7 +662,7 @@ def _fresh_array_solve(p, level, axes):
     # inverse stage's powers of two folded into one, and runs the other
     # stages as here.
     if p.rhs_factors is not None:
-        factors = [_factor_coefficients(p, j, level, {}) for j in range(level.dim)]
+        factors = [_factor_coefficients(p, j, level, {}) for j in range(len(level))]
         numer = outer(np.multiply, factors)
         numer *= p.rhs_factors[0]
     else:
@@ -667,7 +670,7 @@ def _fresh_array_solve(p, level, axes):
         for axis, v in enumerate(level):
             if v > 1:
                 numer = sine_transform(numer, axis)
-    scale = 2.0 ** (sum(level) - level.dim)
+    scale = 2.0 ** (sum(level) - len(level))
     out = numer / outer(np.add, [scale * _eigenvalues_1d(v) for v in level])
     for axis in axes:
         if level[axis] > 1:
@@ -677,10 +680,9 @@ def _fresh_array_solve(p, level, axes):
 
 def _fresh_array_point_values(p, level, pts):
     # The point values from _fresh_array_solve along the longest direction.
-    level = LevelIndex(level)
     a = level.index(max(level))
     nodal = _fresh_array_solve(p, level, [a])
-    return _interpolate_nodal(nodal, level, a, _PointTable(_checked_points(pts, level.dim)))
+    return _interpolate_nodal(nodal, level, a, _PointTable(_checked_points(pts, len(level))))
 
 
 @pytest.mark.bits
@@ -695,15 +697,15 @@ def test_solve_poisson_bit_identical(d):
     rng = np.random.default_rng(40 + d)
     tops = {1: (1, 3, 7, 9), 2: (6, 7, 8), 3: (6, 7, 8), 4: (6, 7)}[d]
     levels = {
-        LevelIndex(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
+        tuple(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
         for top in tops
     }
     if d > 1:
-        levels |= {LevelIndex((7, 8) + (2,) * (d - 2)), LevelIndex((2,) * (d - 2) + (8, 1))}
+        levels |= {(7, 8) + (2,) * (d - 2), (2,) * (d - 2) + (8, 1)}
     if d == 4:
         # Run in place on the direct stage's transposed product, the FFT
         # stage along direction 1 would change the separable data's bits.
-        levels.add(LevelIndex((3, 7, 1, 3)))
+        levels.add((3, 7, 1, 3))
     assert any(_uses_fft(2 ** max(lv) - 1) for lv in levels)
     assert d == 1 or any(min(lv) > 1 and not _uses_fft(2 ** min(lv) - 1) for lv in levels)
     builtin = builtin_sine_problem(d)
@@ -711,7 +713,7 @@ def test_solve_poisson_bit_identical(d):
     for p in (builtin, sampled, *_separable_problems(d, d)):
         for level in sorted(levels):
             u, _ = solve_poisson(p, level)
-            want = np.zeros(level.points_per_direction())
+            want = np.zeros(tuple(2 ** v + 1 for v in level))
             want[(slice(1, -1),) * d] = _fresh_array_solve(p, level, range(d))
             assert u.ndview().tobytes() == want.tobytes()
 
@@ -732,9 +734,9 @@ def test_workspace_reuse_bit_identical(d):
     rng = np.random.default_rng(20 + d)
     pts = rng.uniform(0.0, 1.0, size=(7, d))
     levels = sorted({
-        LevelIndex(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
+        tuple(rng.permutation([top, *rng.integers(1, 4, size=d - 1)]).tolist())
         for top in (2, 6, 7, 8, 9, 7, 6)
-    } | {LevelIndex((1,) * d)})
+    } | {(1,) * d})
     assert any(2 ** max(lv) - 1 > DIRECT_TRANSFORM_MAX for lv in levels)
     assert any(1 < 2 ** max(lv) - 1 <= DIRECT_TRANSFORM_MAX for lv in levels)
     builtin = builtin_sine_problem(d)
@@ -748,7 +750,7 @@ def test_workspace_reuse_bit_identical(d):
             table, work = _PointTable(pts), _Workspace()
             for lv in order:
                 assert _solve_at_table(p, lv, table, work).tobytes() == fresh[lv].tobytes()
-            assert work._size == max(lv.interior_count() for lv in levels)
+            assert work._size == max(map(interior_count, levels))
 
 
 @st.composite
@@ -765,9 +767,8 @@ def _fft_levels(draw):
         level[0] = level[1] = max(level[:2])
     elif tie == "maximum in direction 2" and d > 2:
         level[2] = level[draw(st.integers(min_value=0, max_value=1))] = top
-    level = LevelIndex(level)
-    assume(level.interior_count() <= 2 ** 20)
-    return level
+    assume(interior_count(level) <= 2 ** 20)
+    return tuple(level)
 
 
 def _solve_counted(p, level, table, work):
@@ -782,10 +783,10 @@ def _solve_counted(p, level, table, work):
 @given(_fft_levels(), st.integers(min_value=0, max_value=2 ** 31 - 1))
 # The rows of this level's partner, transposed, are summed by np.matmul in
 # another order unless put in C order.
-@example(LevelIndex((3, 5, 9)), 0)
+@example((3, 5, 9), 0)
 # Its own swap: transposed, its nodal array would be transformed along the
 # wrong direction.
-@example(LevelIndex((7, 7)), 0)
+@example((7, 7), 0)
 def test_partner_nodal_array_bit_identical(level, seed):
     # An FFT-path level solved right after its partner (the level with its
     # first two directions swapped) reads the partner's nodal array with
@@ -794,11 +795,11 @@ def test_partner_nodal_array_bit_identical(level, seed):
     # factors agree in directions 0 and 1 only. A level with l0 == l1 has no
     # partner and is solved again.
     rng = np.random.default_rng(seed)
-    pts = np.vstack([_probe_points(level, rng), rng.uniform(size=(30, level.dim))])
-    for p in (builtin_sine_problem(level.dim), _separable_problems(level.dim, seed, True)[0]):
+    pts = np.vstack([_probe_points(level, rng), rng.uniform(size=(30, len(level)))])
+    for p in (builtin_sine_problem(len(level)), _separable_problems(len(level), seed, True)[0]):
         cold = _solve_at_table(p, level, _PointTable(pts), _Workspace())
         table, work = _PointTable(pts), _Workspace()
-        _solve_at_table(p, LevelIndex(_swapped(level)), table, work)
+        _solve_at_table(p, _swapped(level), table, work)
         warm, solves = _solve_counted(p, level, table, work)
         assert solves == (level[0] == level[1])
         assert warm.tobytes() == cold.tobytes()
@@ -810,11 +811,11 @@ def test_partner_with_other_factors_is_solved():
     # solved right after its partner is solved itself and matches the
     # assembled oracle.
     rng = np.random.default_rng(5)
-    for level in (LevelIndex((7, 2)), LevelIndex((2, 7, 1)), LevelIndex((1, 2, 7))):
-        p, _ = _separable_problems(level.dim, 11)
+    for level in ((7, 2), (2, 7, 1), (1, 2, 7)):
+        p, _ = _separable_problems(len(level), 11)
         pts = _probe_points(level, rng)
         table, work = _PointTable(pts), _Workspace()
-        _solve_at_table(p, LevelIndex(_swapped(level)), table, work)
+        _solve_at_table(p, _swapped(level), table, work)
         got, solves = _solve_counted(p, level, table, work)
         assert solves == 1
         ref = solve_assembled(p, level)
@@ -831,19 +832,19 @@ def test_partner_slot_cleared_by_other_solves():
     p = builtin_sine_problem(3)
     c, g = p.rhs_factors
     sampled = ProblemSpec(dim=3, rhs=p.rhs, rhs_grid=p.rhs_grid)
-    level = LevelIndex((2, 7, 1))
+    level = (2, 7, 1)
     pts = _probe_points(level, np.random.default_rng(3))
     cold = _solve_at_table(p, level, _PointTable(pts), _Workspace())
     # (problem the partner is solved for, what runs between the two solves)
     cases = (
-        (p, lambda table, work: _solve_at_table(p, LevelIndex((3, 3, 2)), table, work)),
-        (p, lambda table, work: _solve_at_table(sampled, LevelIndex((1, 7, 2)), table, work)),
-        (p, lambda table, work: work.reserve(4 * level.interior_count())),
+        (p, lambda table, work: _solve_at_table(p, (3, 3, 2), table, work)),
+        (p, lambda table, work: _solve_at_table(sampled, (1, 7, 2), table, work)),
+        (p, lambda table, work: work.reserve(4 * interior_count(level))),
         (dataclasses.replace(p, rhs_factors=(2 * c, g)), lambda table, work: None),
     )
     for first, between in cases:
         table, work = _PointTable(pts), _Workspace()
-        _solve_at_table(first, LevelIndex(_swapped(level)), table, work)
+        _solve_at_table(first, _swapped(level), table, work)
         between(table, work)
         warm, solves = _solve_counted(p, level, table, work)
         assert solves == 1
@@ -862,9 +863,9 @@ def test_partner_factor_of_wrong_shape_raises():
 
     p = dataclasses.replace(base, rhs_factors=(c, short))
     table, work = _PointTable(np.array([[0.3, 0.6]])), _Workspace()
-    _solve_at_table(p, LevelIndex((7, 2)), table, work)
+    _solve_at_table(p, (7, 2), table, work)
     with pytest.raises(ValueError, match=r"shape \(2,\) for direction 0 of level \(2, 7\)"):
-        _solve_at_table(p, LevelIndex((2, 7)), table, work)
+        _solve_at_table(p, (2, 7), table, work)
 
 
 def test_builtin_grid_values_match_decimal_closed_form():
@@ -911,7 +912,7 @@ def test_apply_operator_inverts_solve():
     out = apply_operator(u)
     lv = u.level
     h = [2.0 ** -v for v in lv]
-    for idx in np.ndindex(*lv.points_per_direction()):
+    for idx in np.ndindex(*u.shape):
         if all(0 < i < 2 ** v for i, v in zip(idx, lv)):
             pt = tuple(i * w for i, w in zip(idx, h))
             assert out.ndview()[idx] == pytest.approx(p.rhs(pt), rel=1e-8, abs=1e-8)
